@@ -1,6 +1,6 @@
 # Developer conveniences; everything also works as plain pytest/python calls.
 
-.PHONY: install test bench examples experiments serve-smoke cluster-smoke chaos-smoke recovery-smoke bench-core-smoke bench-eval-smoke bench-batch-smoke bench-ingest-smoke ci lint clean
+.PHONY: install test bench examples experiments serve-smoke cluster-smoke chaos-smoke recovery-smoke bench-core-smoke bench-eval-smoke bench-batch-smoke bench-ingest-smoke perfbench-short ci lint clean
 
 install:
 	pip install -e .
@@ -53,6 +53,13 @@ bench-batch-smoke:
 # and on a >= 4-CPU runner a 4x re-warm speedup floor.
 bench-ingest-smoke:
 	PYTHONPATH=src python scripts/bench_ingest_smoke.py
+
+# perfbench's own tests: every workload in short mode with every output
+# check on (served results equal the nnls reference, narrow replies are
+# optimal, a cold rebuild over the acked deltas answers like the live
+# engine), about three minutes.
+perfbench-short:
+	python -m pytest perfbench/test_short.py -q
 
 # Mirrors .github/workflows/ci.yml: the test matrix plus the lint job.
 # Lint is skipped with a notice when ruff is not installed locally.

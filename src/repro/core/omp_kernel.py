@@ -58,8 +58,9 @@ Numerical-faithfulness notes (why selections match the reference):
   pi/phi as ``U @ counts`` is exact under any summation order; the unary
   scheme accumulates raw per-review signed strengths in selection order to
   preserve the reference's floating-point summation;
-* the discrete stage (:func:`~repro.core.integer_regression.round_to_counts`)
-  and the candidate argmin are shared with the reference verbatim.
+* the discrete stage (:func:`round_path`) reproduces
+  :func:`~repro.core.integer_regression.round_to_counts` byte for byte,
+  and the candidate argmin is the reference's.
 
 The equivalence test harness (``tests/test_omp_kernel.py``) and the core
 benchmark (``benchmarks/bench_core_solver.py``) assert identical selections
@@ -81,11 +82,7 @@ from repro.core.distance import concat_scaled, squared_l2
 from repro.core.integer_regression import (
     _CORRELATION_TOLERANCE,
     RegressionSelection,
-    best_counts_in_table,
-    counts_to_selection,
     deduplicate_columns,
-    round_to_counts,
-    round_to_counts_table,
 )
 from repro.core.problem import SelectionConfig
 from repro.core.vectors import OpinionScheme, VectorSpace, _sigmoid
@@ -93,6 +90,9 @@ from repro.data.models import Review
 
 #: The per-stage timing buckets exposed in serving provenance and metrics.
 STAGES = ("dedup", "gram", "screen", "pursuit", "round", "evaluate")
+
+#: A candidate scorer: group counts and the selection they map to -> objective.
+_Evaluate = Callable[[np.ndarray, tuple[int, ...]], float]
 
 
 class StageTimer:
@@ -766,6 +766,109 @@ def _screen_active(screen: str, num_groups: int, exact: bool) -> bool:
 _TIE_MARGIN = 1e-9
 
 
+class _PursuitState:
+    """Per-problem bookkeeping of one pursuit (see :func:`_pursuit_step`)."""
+
+    __slots__ = (
+        "b",
+        "target",
+        "target_float",
+        "max_steps",
+        "support",
+        "in_support",
+        "coefficients",
+        "lower",
+        "cholesky_ok",
+        "path",
+    )
+
+    def __init__(
+        self, b: np.ndarray, target: np.ndarray, max_steps: int,
+        num_columns: int, exact: bool,
+    ) -> None:
+        self.b = np.asarray(b, dtype=float)
+        self.target = target
+        self.target_float = target.astype(float)
+        self.max_steps = max_steps
+        self.support: list[int] = []
+        self.in_support = np.zeros(num_columns, dtype=bool)
+        self.coefficients = np.zeros(0)
+        self.lower = np.zeros((max_steps, max_steps)) if not exact else None
+        self.cholesky_ok = not exact
+        self.path: list[np.ndarray] = []
+
+
+def _pursuit_step(
+    state: _PursuitState,
+    alpha: np.ndarray,
+    gram: np.ndarray,
+    stacked: np.ndarray,
+    exact: bool,
+) -> bool:
+    """Add one atom to ``state``'s path, choosing it from ``alpha``.
+
+    Returns False, adding nothing, when no column correlates positively.
+    :func:`batch_omp_path` and :func:`batch_omp_many` share it, so a
+    batched problem takes exactly the steps it would take alone.
+    """
+    num_columns = gram.shape[1]
+    support = state.support
+    correlations = alpha.copy()
+    correlations[state.in_support] = -np.inf
+    best = int(np.argmax(correlations))
+    top = float(correlations[best])
+    if exact and support:
+        # Screen: the Gram-updated alpha differs from the reference's
+        # W^T r by fp noise only, so an unambiguous winner is *the*
+        # winner.  On a near-tie (or a borderline stop) recompute the
+        # reference correlations bitwise and let them decide.
+        correlations[best] = -np.inf
+        runner_up = float(correlations.max()) if num_columns > 1 else -np.inf
+        margin = _TIE_MARGIN * max(1.0, abs(top), abs(runner_up))
+        if top - runner_up <= margin or top <= _CORRELATION_TOLERANCE + margin:
+            residual = state.target_float - stacked[:, support] @ state.coefficients
+            refreshed = stacked.T @ residual
+            refreshed[state.in_support] = -np.inf
+            best = int(np.argmax(refreshed))
+            top = float(refreshed[best])
+    if top <= _CORRELATION_TOLERANCE:
+        return False
+    size = len(support)
+    if state.cholesky_ok:
+        pivot = float(gram[best, best])
+        if size:
+            w = solve_triangular(
+                state.lower[:size, :size], gram[support, best],
+                lower=True, check_finite=False,
+            )
+            pivot -= float(w @ w)
+        if pivot <= 1e-12 * max(1.0, float(gram[best, best])):
+            state.cholesky_ok = False
+        else:
+            if size:
+                state.lower[size, :size] = w
+            state.lower[size, size] = np.sqrt(pivot)
+    support.append(best)
+    state.in_support[best] = True
+    size += 1
+
+    step: np.ndarray | None = None
+    if state.cholesky_ok:
+        factor = state.lower[:size, :size]
+        rhs = state.b[support]
+        forward = solve_triangular(factor, rhs, lower=True, check_finite=False)
+        step = solve_triangular(factor.T, forward, lower=False, check_finite=False)
+        if np.any(step < 0.0):
+            step = None
+    if step is None:
+        step, _ = nnls(stacked[:, support], state.target)
+    state.coefficients = step
+    x = np.zeros(num_columns)
+    x[support] = step
+    state.path.append(x)
+    return True
+
+
 def batch_omp_path(
     gram: np.ndarray,
     b: np.ndarray,
@@ -801,110 +904,13 @@ def batch_omp_path(
     if num_columns == 0 or max_atoms <= 0:
         return []
 
-    max_steps = min(max_atoms, num_columns)
-    target_float = target.astype(float)
-    alpha = b.astype(float).copy()
-    lower = np.zeros((max_steps, max_steps))
-    support: list[int] = []
-    in_support = np.zeros(num_columns, dtype=bool)
-    cholesky_ok = not exact
-    coefficients = np.zeros(0)
-    path: list[np.ndarray] = []
-
-    for _ in range(max_steps):
-        correlations = alpha.copy()
-        correlations[in_support] = -np.inf
-        best = int(np.argmax(correlations))
-        top = float(correlations[best])
-        if exact and support:
-            # Screen: the Gram-updated alpha differs from the reference's
-            # W^T r by fp noise only, so an unambiguous winner is *the*
-            # winner.  On a near-tie (or a borderline stop) recompute the
-            # reference correlations bitwise and let them decide.
-            correlations[best] = -np.inf
-            runner_up = float(correlations.max()) if num_columns > 1 else -np.inf
-            margin = _TIE_MARGIN * max(1.0, abs(top), abs(runner_up))
-            if top - runner_up <= margin or top <= _CORRELATION_TOLERANCE + margin:
-                residual = target_float - stacked[:, support] @ coefficients
-                refreshed = stacked.T @ residual
-                refreshed[in_support] = -np.inf
-                best = int(np.argmax(refreshed))
-                top = float(refreshed[best])
-        if top <= _CORRELATION_TOLERANCE:
-            break
-        size = len(support)
-        if cholesky_ok:
-            pivot = float(gram[best, best])
-            if size:
-                w = solve_triangular(
-                    lower[:size, :size],
-                    gram[support, best],
-                    lower=True,
-                    check_finite=False,
-                )
-                pivot -= float(w @ w)
-            if pivot <= 1e-12 * max(1.0, float(gram[best, best])):
-                cholesky_ok = False
-            else:
-                if size:
-                    lower[size, :size] = w
-                lower[size, size] = np.sqrt(pivot)
-        support.append(best)
-        in_support[best] = True
-        size += 1
-
-        step: np.ndarray | None = None
-        if cholesky_ok:
-            factor = lower[:size, :size]
-            forward = solve_triangular(
-                factor, b[support], lower=True, check_finite=False
-            )
-            step = solve_triangular(
-                factor.T, forward, lower=False, check_finite=False
-            )
-            if np.any(step < 0.0):
-                step = None
-        if step is None:
-            step, _ = nnls(stacked[:, support], target)
-        coefficients = step
-
-        alpha = b - gram[:, support] @ coefficients
-        x = np.zeros(num_columns)
-        x[support] = coefficients
-        path.append(x)
-    return path
-
-
-class _PursuitState:
-    """Per-problem bookkeeping of one :func:`batch_omp_many` member."""
-
-    __slots__ = (
-        "b",
-        "target",
-        "target_float",
-        "max_steps",
-        "support",
-        "in_support",
-        "coefficients",
-        "lower",
-        "cholesky_ok",
-        "path",
-    )
-
-    def __init__(
-        self, b: np.ndarray, target: np.ndarray, max_steps: int,
-        num_columns: int, exact: bool,
-    ) -> None:
-        self.b = np.asarray(b, dtype=float)
-        self.target = target
-        self.target_float = target.astype(float)
-        self.max_steps = max_steps
-        self.support: list[int] = []
-        self.in_support = np.zeros(num_columns, dtype=bool)
-        self.coefficients = np.zeros(0)
-        self.lower = np.zeros((max_steps, max_steps)) if not exact else None
-        self.cholesky_ok = not exact
-        self.path: list[np.ndarray] = []
+    state = _PursuitState(b, target, min(max_atoms, num_columns), num_columns, exact)
+    alpha = state.b
+    while len(state.path) < state.max_steps and _pursuit_step(
+        state, alpha, gram, stacked, exact
+    ):
+        alpha = state.b - gram[:, state.support] @ state.coefficients
+    return state.path
 
 
 def batch_omp_many(
@@ -997,70 +1003,10 @@ def batch_omp_many(
         still_active: list[int] = []
         for col, p in enumerate(active):
             state = states[p]
-            correlations = alphas[:, col].copy()
-            correlations[state.in_support] = -np.inf
-            best = int(np.argmax(correlations))
-            top = float(correlations[best])
-            if exact and state.support:
-                correlations[best] = -np.inf
-                runner_up = (
-                    float(correlations.max()) if num_columns > 1 else -np.inf
-                )
-                margin = _TIE_MARGIN * max(1.0, abs(top), abs(runner_up))
-                if (
-                    top - runner_up <= margin
-                    or top <= _CORRELATION_TOLERANCE + margin
-                ):
-                    residual = (
-                        state.target_float
-                        - stacked[:, state.support] @ state.coefficients
-                    )
-                    refreshed = stacked.T @ residual
-                    refreshed[state.in_support] = -np.inf
-                    best = int(np.argmax(refreshed))
-                    top = float(refreshed[best])
-            if top <= _CORRELATION_TOLERANCE:
-                continue
-            size = len(state.support)
-            if state.cholesky_ok:
-                pivot = float(gram[best, best])
-                if size:
-                    w = solve_triangular(
-                        state.lower[:size, :size],
-                        gram[state.support, best],
-                        lower=True,
-                        check_finite=False,
-                    )
-                    pivot -= float(w @ w)
-                if pivot <= 1e-12 * max(1.0, float(gram[best, best])):
-                    state.cholesky_ok = False
-                else:
-                    if size:
-                        state.lower[size, :size] = w
-                    state.lower[size, size] = np.sqrt(pivot)
-            state.support.append(best)
-            state.in_support[best] = True
-            size += 1
-
-            step: np.ndarray | None = None
-            if state.cholesky_ok:
-                factor = state.lower[:size, :size]
-                forward = solve_triangular(
-                    factor, state.b[state.support], lower=True, check_finite=False
-                )
-                step = solve_triangular(
-                    factor.T, forward, lower=False, check_finite=False
-                )
-                if np.any(step < 0.0):
-                    step = None
-            if step is None:
-                step, _ = nnls(stacked[:, state.support], state.target)
-            state.coefficients = step
-
-            x = np.zeros(num_columns)
-            x[state.support] = step
-            state.path.append(x)
-            if len(state.path) < state.max_steps:
+            if (
+                _pursuit_step(state, alphas[:, col], gram, stacked, exact)
+                and len(state.path) < state.max_steps
+            ):
                 still_active.append(p)
         active = still_active
 
@@ -1299,21 +1245,18 @@ def _run_regression(
     sync_blocks: int,
     target: np.ndarray,
     max_reviews: int,
-    evaluate: Callable[[np.ndarray, tuple[int, ...]], float],
+    evaluate: _Evaluate,
     timer: StageTimer,
-    allow_empty: bool = False,
     exact: bool = True,
     screen: str = "off",
 ) -> RegressionSelection:
-    """The kernel's Integer-Regression driver.
+    """The kernel's Integer-Regression driver for one problem.
 
-    Mirrors :func:`~repro.core.integer_regression.integer_regression_select`
-    candidate for candidate: the same discrete rounding, the same strict
-    1e-12 improvement rule, the same empty-set fallback — only the pursuit
-    and the evaluation are served from precomputed artifacts.  When the
-    pre-screen governs (:func:`_screen_active`), the pursuit side switches
+    The pursuit and the evaluation are served from precomputed artifacts;
+    :func:`_shared_path_selections` rounds and picks the candidate.  When
+    the pre-screen governs (:func:`_screen_active`), the pursuit switches
     to :func:`_screened_omp_path` and the Gram is never materialised; the
-    rounding stage still sees the full dedup groups and capacities, so
+    rounding still sees the full dedup groups and capacities, so
     largest-remainder spill into zero-coefficient groups stays identical.
     """
     target = np.asarray(target, dtype=float)
@@ -1324,13 +1267,8 @@ def _run_regression(
             norms = block.column_norms(sync_blocks)
             nonneg = block.nonnegative()
         path = _screened_omp_path(
-            stacked,
-            target,
-            max_reviews,
-            norms,
-            empirical=screen == "empirical",
-            nonneg=nonneg,
-            timer=timer,
+            stacked, target, max_reviews, norms,
+            empirical=screen == "empirical", nonneg=nonneg, timer=timer,
         )
     else:
         with timer.stage("gram"):
@@ -1338,77 +1276,154 @@ def _run_regression(
             stacked = block.stacked(sync_blocks)
         with timer.stage("pursuit"):
             b = stacked.T @ target
-            path = batch_omp_path(
-                gram, b, max_reviews, stacked, target, exact=exact
-            )
-    return _path_to_selection(
-        block, path, max_reviews, evaluate, timer, allow_empty=allow_empty
-    )
+            path = batch_omp_path(gram, b, max_reviews, stacked, target, exact=exact)
+    return _shared_path_selections(block, path, (max_reviews,), evaluate, timer)[
+        max_reviews
+    ]
 
 
-def _path_to_selection(
-    block: GramBlock,
+#: Elements per (steps x totals x groups) array in one chunk of
+#: :func:`round_path`, bounding its temporaries at a few MiB.
+_ROUND_CHUNK = 1 << 19
+
+#: One step's rounding for one budget: group counts and their selection.
+_Pick = tuple[np.ndarray, tuple[int, ...]]
+
+
+def round_path(
     path: Sequence[np.ndarray],
-    max_reviews: int,
-    evaluate: Callable[[np.ndarray, tuple[int, ...]], float],
-    timer: StageTimer,
-    allow_empty: bool = False,
-) -> RegressionSelection:
-    """Discrete rounding + candidate argmin over one pursuit path.
+    capacities: np.ndarray,
+    groups: Sequence[Sequence[int]],
+    budgets: Sequence[int],
+) -> tuple[np.ndarray, dict[int, list[_Pick]]]:
+    """The discrete stage of a whole pursuit path in one array pass.
 
-    Shared verbatim between the single-problem drivers and the batched
-    entry points, so both stay candidate-for-candidate identical to the
-    reference's rounding stage.
+    Rounds every step for every total 1..m (m the largest budget) and
+    returns ``(gaps, picks)``: ``gaps[step, s - 1]`` is the normalised L1
+    gap of the total-``s`` apportionment (NaN where
+    :func:`~repro.core.integer_regression.round_to_counts_table` holds
+    ``None``), and ``picks[b][step]`` the ``(counts, selection)`` that
+    ``round_to_counts(path[step], capacities, b)`` and
+    ``counts_to_selection`` give, byte for byte, for steps ``< b``.  Two
+    properties keep it exact while touching O(m) groups per step (see
+    docs/ALGORITHMS.md):
+
+    * only reachable groups are apportioned: every step's nonzero
+      coefficients plus its first m zero-coefficient groups by index.  Zero
+      groups sort at key exactly 0.0 with slack >= 1, in index order, and a
+      row hands out at most m units, so the round-robin never reaches a
+      later one;
+    * each gap is summed over a dense q-length row like the reference's,
+      because numpy's pairwise sum depends on where the zeros sit.
     """
-    capacities = block.capacities
-    best: RegressionSelection | None = None
-    if allow_empty:
-        with timer.stage("evaluate"):
-            empty_value = evaluate(np.zeros(block.num_groups, dtype=int), ())
-        best = RegressionSelection(selected=(), objective=empty_value)
-    seen: set[tuple[int, ...]] = {()}
-    for x in path:
-        with timer.stage("round"):
-            counts = round_to_counts(x, capacities, max_reviews)
-            selection = counts_to_selection(counts, block.groups)
-        if selection in seen:
-            continue
-        seen.add(selection)
-        with timer.stage("evaluate"):
-            objective = evaluate(counts, selection)
-        if best is None or objective < best.objective - 1e-12:
-            best = RegressionSelection(selected=selection, objective=objective)
-    if best is None:
-        with timer.stage("evaluate"):
-            empty_value = evaluate(np.zeros(block.num_groups, dtype=int), ())
-        best = RegressionSelection(selected=(), objective=empty_value)
-    return best
+    max_total = max(budgets, default=0)
+    num_groups = len(capacities)
+    steps_total = len(path) if num_groups and max_total > 0 else 0
+    gaps = np.full((steps_total, max(max_total, 0)), np.nan)
+    columns: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    chunk = max(1, _ROUND_CHUNK // max(1, max_total * num_groups))
+    totals = np.arange(1, max_total + 1)
+    scales = totals[:, None].astype(float)
+    for start in range(0, steps_total, chunk):
+        steps = np.array(path[start : start + chunk], dtype=float)
+        masses = np.abs(steps).sum(axis=1)
+        # A step's first m zero groups lie below m plus its nonzero count,
+        # so with every step's nonzeros they hold all reachable groups.
+        reach = max_total + int(np.count_nonzero(steps, axis=1).max())
+        if reach >= num_groups:
+            cols = np.arange(num_groups)
+        else:
+            reachable = (steps != 0.0).any(axis=0)
+            reachable[:reach] = True
+            cols = np.flatnonzero(reachable)
+        caps = capacities[cols]
+        # The reference's arithmetic, over (steps, totals, reachable groups).
+        normalised = steps[:, cols] / np.where(masses == 0.0, 1.0, masses)[:, None]
+        ideals = scales * normalised[:, None, :]
+        if normalised.min() < 0.0:
+            if np.any(ideals < -1e-12):
+                raise ValueError("ideal allocations must be non-negative")
+            ideals = np.maximum(ideals, 0.0)
+        bases = np.minimum(np.floor(ideals + 1e-12), caps).astype(int, order="C")
+        remaining = (np.minimum(totals, caps.sum()) - bases.sum(axis=2)).ravel()
+        if remaining.max() > 0:
+            # Round-robin in key order, one unit per group per pass, exactly
+            # as largest_remainder_round hands the remaining units out.
+            width = len(cols)
+            order = np.argsort(
+                (bases - ideals).reshape(-1, width), axis=1, kind="stable"
+            ) + np.arange(0, remaining.size * width, width)[:, None]
+            ranked_slack = (caps - bases).reshape(-1)[order]
+            extra = np.zeros_like(order)
+            rounds = 0
+            while remaining.max() > 0:
+                rounds += 1
+                eligible = ranked_slack >= rounds
+                given = eligible & (np.cumsum(eligible, axis=1) <= remaining[:, None])
+                extra += given
+                remaining -= given.sum(axis=1)
+            bases.reshape(-1)[order] += extra  # now the apportioned counts
+        count_sums = bases.sum(axis=2)
+        diffs = np.abs(
+            bases / np.maximum(count_sums, 1)[..., None] - normalised[:, None, :]
+        )
+        if len(cols) < num_groups:
+            rows = np.zeros((len(steps), max_total, num_groups))
+            rows[..., cols] = diffs
+            diffs = rows
+        gaps[start : start + len(steps)] = np.where(
+            (count_sums > 0) & (masses != 0.0)[:, None], diffs.sum(axis=2), np.nan
+        )
+        columns.extend([cols] * len(steps))
+        counts.extend(bases)
+
+    # round_to_counts's scan over each budget prefix: strict 1e-12
+    # improvement, the lowest total wins ties, NaN (no mass) never wins.
+    picks: dict[int, list[_Pick]] = {budget: [] for budget in budgets}
+    for step, row in enumerate(gaps.tolist()):
+        best_gap, best, pick = np.inf, -1, None
+        for total, gap in enumerate(row, start=1):
+            if gap < best_gap - 1e-12:
+                best_gap, best, pick = gap, total - 1, None
+            if total not in picks or step >= total:
+                continue
+            if pick is None:
+                full = np.zeros(num_groups, dtype=int)
+                selected: list[int] = []
+                if best >= 0:
+                    full[columns[step]] = counts[step][best]
+                    for group, count in zip(
+                        columns[step].tolist(), counts[step][best].tolist()
+                    ):
+                        selected.extend(groups[group][:count])
+                pick = (full, tuple(sorted(selected)))
+            picks[total].append(pick)
+    return gaps, picks
 
 
 def _shared_path_selections(
     block: GramBlock,
     path: Sequence[np.ndarray],
     budgets: Sequence[int],
-    evaluate: Callable[[np.ndarray, tuple[int, ...]], float],
+    evaluate: _Evaluate,
     timer: StageTimer,
 ) -> dict[int, RegressionSelection]:
-    """Rounding + evaluation for many budgets over one shared pursuit path.
+    """Discrete rounding + candidate argmin for each budget over one path.
 
-    Requests whose pursuits dedup onto one leader path differ only in
-    where the path is cut and which totals the rounding may use — both
-    prefix views of the same per-step apportionment table
-    (:func:`round_to_counts_table` rows never depend on the budget).  The
-    table is built once at the largest budget, each budget replays
-    :func:`_path_to_selection`'s exact scan over its prefix, and the
-    budget-independent evaluator is memoised per selection, so a 16-way
-    burst pays for one rounding pass instead of sixteen.
+    Mirrors :func:`~repro.core.integer_regression.integer_regression_select`
+    candidate for candidate: the same rounding, the same strict 1e-12
+    improvement rule, the same empty-set fallback.  A single solve is the
+    one-budget case.  Requests whose pursuits dedup onto one leader path
+    differ only in where the path is cut and which totals the rounding may
+    use, both prefix views of :func:`round_path`'s one pass at the largest
+    budget; the budget-independent evaluator is memoised per selection, so
+    a 16-way burst pays for one rounding pass instead of sixteen.
     """
-    capacities = block.capacities
-    largest = max(budgets)
     with timer.stage("round"):
-        tables = [
-            round_to_counts_table(x, capacities, largest) for x in path[:largest]
-        ]
+        _, picks = round_path(
+            path[: max(budgets)], block.capacities, block.groups, budgets
+        )
     objective_of: dict[tuple[int, ...], float] = {}
 
     def evaluate_once(counts: np.ndarray, selection: tuple[int, ...]) -> float:
@@ -1423,10 +1438,7 @@ def _shared_path_selections(
     for budget in sorted(set(budgets)):
         best: RegressionSelection | None = None
         seen: set[tuple[int, ...]] = {()}
-        for table in tables[:budget]:
-            with timer.stage("round"):
-                counts = best_counts_in_table(table, budget, block.num_groups)
-                selection = counts_to_selection(counts, block.groups)
+        for counts, selection in picks[budget]:
             if selection in seen:
                 continue
             seen.add(selection)
@@ -1486,6 +1498,46 @@ def solve_plus_item(
     sync_blocks=0)`` does in the reference.
     """
     timer = timer if timer is not None else StageTimer()
+    block, sync_blocks, target, key, evaluate = _plus_problem(
+        artifacts, tau, gamma, other_phis, config, literal, exact, timer
+    )
+    candidate = artifacts.cached_solve(
+        key,
+        lambda: _run_regression(
+            block, sync_blocks, target, config.max_reviews, evaluate, timer,
+            exact=exact, screen=artifacts.screen,
+        ),
+    )
+    return _accepted(candidate, current, block, evaluate, timer)
+
+
+def _accepted(
+    candidate: RegressionSelection,
+    current: tuple[int, ...],
+    block: GramBlock,
+    evaluate: _Evaluate,
+    timer: StageTimer,
+) -> tuple[int, ...]:
+    """Algorithm 1's acceptance: the candidate only if it strictly improves."""
+    with timer.stage("evaluate"):
+        current_objective = evaluate(block.counts_for(current), current)
+    if candidate.objective < current_objective - 1e-12:
+        return candidate.selected
+    return current
+
+
+def _plus_problem(
+    artifacts: SolverArtifacts,
+    tau: np.ndarray,
+    gamma: np.ndarray,
+    other_phis: Sequence[np.ndarray],
+    config: SelectionConfig,
+    literal: bool,
+    exact: bool,
+    timer: StageTimer,
+) -> tuple[GramBlock, int, np.ndarray, tuple, _Evaluate]:
+    """Block, sync count, target, memo key and acceptance score of one
+    Algorithm-1 inner solve for item i."""
     sync_blocks = len(other_phis)
     if sync_blocks == 0:
         block = artifacts.base_block()
@@ -1493,13 +1545,9 @@ def solve_plus_item(
         block = artifacts.plus_block(config.mu, timer=timer)
     gamma_scale = 1.0 if literal else config.lam
     phi_scale = 1.0 if literal else config.mu
-    target_parts: list[tuple[float, np.ndarray]] = [
-        (1.0, tau),
-        (gamma_scale, gamma),
-    ]
-    for phi in other_phis:
-        target_parts.append((phi_scale, phi))
-    target = concat_scaled(*target_parts)
+    target = concat_scaled(
+        (1.0, tau), (gamma_scale, gamma), *((phi_scale, phi) for phi in other_phis)
+    )
     evaluator = CountsEvaluator(artifacts, block, tau, gamma, config.lam)
 
     def evaluate(counts: np.ndarray, selection: tuple[int, ...]) -> float:
@@ -1511,18 +1559,7 @@ def solve_plus_item(
         "plus", sync_blocks, config.max_reviews, config.mu, literal, exact,
         target.tobytes(),
     )
-    candidate = artifacts.cached_solve(
-        key,
-        lambda: _run_regression(
-            block, sync_blocks, target, config.max_reviews, evaluate, timer,
-            exact=exact, screen=artifacts.screen,
-        ),
-    )
-    with timer.stage("evaluate"):
-        current_objective = evaluate(block.counts_for(current), current)
-    if candidate.objective < current_objective - 1e-12:
-        return candidate.selected
-    return current
+    return block, sync_blocks, target, key, evaluate
 
 
 def solve_item_many(
@@ -1582,9 +1619,7 @@ def solve_item_many(
     for position, (_, _, target, (_, _, config)) in enumerate(misses):
         groups.setdefault((target.tobytes(), config.lam), []).append(position)
     for members in groups.values():
-        budgets_of = [
-            misses[position][3][2].max_reviews for position in members
-        ]
+        budgets_of = [misses[position][3][2].max_reviews for position in members]
         leader = members[int(np.argmax(budgets_of))]
         tau, gamma, config = misses[leader][3]
         evaluator = CountsEvaluator(artifacts, block, tau, gamma, config.lam)
@@ -1619,37 +1654,9 @@ def solve_plus_item_many(
     entries = []
     grouped: dict[tuple[int, int], list[int]] = {}
     for index, (tau, gamma, other_phis, config, current, literal) in enumerate(jobs):
-        sync_blocks = len(other_phis)
-        if sync_blocks == 0:
-            block = artifacts.base_block()
-        else:
-            block = artifacts.plus_block(config.mu, timer=timer)
-        gamma_scale = 1.0 if literal else config.lam
-        phi_scale = 1.0 if literal else config.mu
-        target_parts: list[tuple[float, np.ndarray]] = [
-            (1.0, tau),
-            (gamma_scale, gamma),
-        ]
-        for phi in other_phis:
-            target_parts.append((phi_scale, phi))
-        target = concat_scaled(*target_parts)
-        key = (
-            "plus", sync_blocks, config.max_reviews, config.mu, literal, exact,
-            target.tobytes(),
+        block, sync_blocks, target, key, evaluate = _plus_problem(
+            artifacts, tau, gamma, other_phis, config, literal, exact, timer
         )
-        evaluator = CountsEvaluator(artifacts, block, tau, gamma, config.lam)
-
-        def evaluate(
-            counts: np.ndarray,
-            selection: tuple[int, ...],
-            *,
-            _evaluator: CountsEvaluator = evaluator,
-            _phis: Sequence[np.ndarray] = other_phis,
-            _mu: float = config.mu,
-            _literal: bool = literal,
-        ) -> float:
-            return _evaluator.plus_value(counts, selection, _phis, _mu, _literal)
-
         candidate = artifacts.peek(key)
         entries.append(
             [index, block, sync_blocks, target, config, current, evaluate, key,
@@ -1676,28 +1683,19 @@ def solve_plus_item_many(
             gram = block.gram(sync_blocks)
             stacked = block.stacked(sync_blocks)
         with timer.stage("pursuit"):
-            targets = [
-                np.asarray(entries[position][3], dtype=float)
-                for position in group
-            ]
+            targets = [np.asarray(entries[p][3], dtype=float) for p in group]
             bs = [stacked.T @ target for target in targets]
             budgets = [entries[position][4].max_reviews for position in group]
-            paths = batch_omp_many(
-                gram, bs, budgets, stacked, targets, exact=exact
-            )
+            paths = batch_omp_many(gram, bs, budgets, stacked, targets, exact=exact)
         for position, path in zip(group, paths):
             entry = entries[position]
-            selection = _path_to_selection(
-                block, path, entry[4].max_reviews, entry[6], timer
-            )
+            budget = entry[4].max_reviews
+            selection = _shared_path_selections(
+                block, path, (budget,), entry[6], timer
+            )[budget]
             entry[8] = artifacts.cached_solve(entry[7], lambda s=selection: s)
 
-    results: list[tuple[int, ...]] = [() for _ in jobs]
-    for index, block, _, _, _, current, evaluate, _, candidate in entries:
-        with timer.stage("evaluate"):
-            current_objective = evaluate(block.counts_for(current), current)
-        if candidate.objective < current_objective - 1e-12:
-            results[index] = candidate.selected
-        else:
-            results[index] = current
-    return results
+    return [
+        _accepted(candidate, current, block, evaluate, timer)
+        for _, block, _, _, _, current, evaluate, _, candidate in entries
+    ]

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 from repro.core.compare_sets import CompareSetsSelector, select_for_item
 from repro.core.compare_sets_plus import CompareSetsPlusSelector
-from repro.core.integer_regression import deduplicate_columns, nomp_path
+from repro.core.integer_regression import (
+    counts_to_selection,
+    deduplicate_columns,
+    nomp_path,
+    round_to_counts,
+    round_to_counts_table,
+)
 from repro.core.objective import item_objective
 from repro.core.omp_kernel import (
     STAGES,
@@ -24,6 +30,7 @@ from repro.core.omp_kernel import (
     SolverArtifacts,
     StageTimer,
     batch_omp_path,
+    round_path,
     solve_item,
 )
 from repro.core.problem import SelectionConfig
@@ -232,6 +239,133 @@ class TestBatchOmpPath:
         for step, x in enumerate(path):
             assert np.all(x >= 0)
             assert len(np.flatnonzero(x)) <= step + 1
+
+
+def build_path(
+    rng: np.random.Generator,
+    num_groups: int,
+    max_total: int,
+    weights: str,
+    binding: bool,
+    low_atoms: bool,
+) -> tuple[list[np.ndarray], np.ndarray, tuple[tuple[int, ...], ...]]:
+    """A pursuit path as the discrete stage sees it, with its dedup groups.
+
+    Step ``l`` holds atoms ``0..l`` of one atom order, so the support grows
+    along the path and never exceeds ``max_total``.  Coefficients may be
+    zero inside the support (nnls returns such zeros) and whole steps may
+    be zero.  ``weights`` picks exact-integer or tied ideals ("equal",
+    "thirds", "integers"), ideals a few ulps below an integer ("tenths")
+    or generic ones ("uniform"); ``binding`` caps the support groups at one
+    member so apportionment spills, over several round-robin passes when
+    few groups are left, into zero-coefficient groups; ``low_atoms``
+    interleaves the support with the first zero groups by index.
+    """
+    pool = min(num_groups, 2 * max_total) if low_atoms else num_groups
+    atoms = rng.choice(pool, size=min(max_total, pool), replace=False)
+    path = []
+    for size in range(1, len(atoms) + 1):
+        if weights == "equal":
+            values = np.ones(size)
+        elif weights == "thirds":
+            values = rng.choice([1 / 3, 2 / 3, 1.0, 4 / 3], size=size)
+        elif weights == "integers":
+            values = rng.integers(1, 4, size=size).astype(float)
+        elif weights == "tenths":
+            values = rng.integers(1, 10, size=size) / 10
+        else:
+            values = rng.uniform(0.01, 2.0, size=size)
+        values[rng.random(size) < 0.25] = 0.0
+        if rng.random() < 0.1:
+            values[:] = 0.0
+        x = np.zeros(num_groups)
+        x[atoms[:size]] = values
+        path.append(x)
+    if binding:
+        capacities = rng.integers(1, 6, size=num_groups)
+        capacities[atoms] = 1
+    else:
+        capacities = rng.integers(1, 30 if rng.random() < 0.3 else 4, size=num_groups)
+    members = rng.permutation(int(capacities.sum())).tolist()
+    bounds = np.cumsum(capacities).tolist()
+    groups = tuple(
+        tuple(members[start:stop]) for start, stop in zip([0] + bounds[:-1], bounds)
+    )
+    return path, capacities, groups
+
+
+def assert_rounds_like_reference(path, capacities, groups, max_total):
+    """round_path against round_to_counts, its table and counts_to_selection
+    at every step, every total and every budget prefix."""
+    budgets = range(1, max_total + 1)
+    gaps, picks = round_path(path, capacities, groups, budgets)
+    assert gaps.shape == (len(path), max_total)
+    for step, x in enumerate(path):
+        table = round_to_counts_table(x, capacities, max_total) or [None] * max_total
+        for total, entry in enumerate(table):
+            if entry is None:
+                assert np.isnan(gaps[step, total])
+            else:
+                assert gaps[step, total] == entry[1]
+        for budget in budgets:
+            if step >= budget:
+                assert len(picks[budget]) == budget
+                continue
+            counts, selection = picks[budget][step]
+            expected = round_to_counts(x, capacities, budget)
+            assert counts.dtype == expected.dtype
+            assert counts.tobytes() == expected.tobytes()
+            assert selection == counts_to_selection(expected, groups)
+
+
+class TestRoundPath:
+    """The one-pass discrete stage equals the reference rounding bytewise."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_groups=st.one_of(
+            st.integers(1, 7),
+            st.integers(8, 16),
+            st.integers(17, 300),
+            st.sampled_from([1_000, 8_193]),
+        ),
+        max_total=st.integers(1, 12),
+        weights=st.sampled_from(["uniform", "equal", "thirds", "integers", "tenths"]),
+        binding=st.booleans(),
+        low_atoms=st.booleans(),
+    )
+    def test_matches_reference_rounding(
+        self, seed, num_groups, max_total, weights, binding, low_atoms
+    ):
+        rng = np.random.default_rng(seed)
+        path, capacities, groups = build_path(
+            rng, num_groups, max_total, weights, binding, low_atoms
+        )
+        assert_rounds_like_reference(path, capacities, groups, max_total)
+
+    def test_large_q_with_binding_caps(self):
+        rng = np.random.default_rng(17)
+        path, capacities, groups = build_path(rng, 20_000, 12, "tenths", True, True)
+        assert_rounds_like_reference(path, capacities, groups, 12)
+
+    def test_spill_over_several_passes(self):
+        """One capped support group: the rest of each total spills into the
+        single zero group, one unit per round-robin pass."""
+        path = [np.array([2.0, 0.0])]
+        assert_rounds_like_reference(path, np.array([1, 10]), ((0,), tuple(range(1, 11))), 6)
+
+    def test_ideal_just_below_an_integer(self):
+        """4 * (0.3 / 0.4) is 2.9999999999999996, which the reference's
+        1e-12 floor guard counts as 3."""
+        path = [np.array([0.1, 0.3, 0.0])]
+        groups = (tuple(range(0, 5)), tuple(range(5, 10)), tuple(range(10, 15)))
+        assert_rounds_like_reference(path, np.array([5, 5, 5]), groups, 4)
+
+    def test_empty_path_and_zero_budget(self):
+        groups = ((0,), (1,), (2,))
+        assert round_path([], np.ones(3, dtype=int), groups, [4])[1] == {4: []}
+        assert round_path([np.ones(3)], np.ones(3, dtype=int), groups, [0])[1] == {0: []}
 
 
 class TestSolverArtifacts:
