@@ -1,12 +1,22 @@
 # Developer conveniences; everything also works as plain pytest/python calls.
 
-.PHONY: install test bench examples experiments serve-smoke cluster-smoke chaos-smoke recovery-smoke bench-core-smoke bench-eval-smoke bench-batch-smoke bench-ingest-smoke perfbench-short ci lint clean
+.PHONY: install test test-one-thread bench examples experiments serve-smoke cluster-smoke chaos-smoke recovery-smoke bench-core-smoke bench-eval-smoke bench-batch-smoke bench-ingest-smoke perfbench-short ci lint clean
 
 install:
 	pip install -e .
 
 test:
 	pytest tests/
+
+# The kernel's byte-identity suites with BLAS pinned to one thread, as
+# perfbench runs: a lone pursuit updates with a mat-vec and a batch with
+# a GEMM, whose blocking may depend on the thread count.
+test-one-thread:
+	OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONHASHSEED=0 \
+		PYTHONPATH=src python -m pytest -q tests/test_omp_kernel.py \
+		tests/test_batch_solver.py tests/test_serve_incremental.py \
+		tests/test_compare_sets.py tests/test_compare_sets_plus.py \
+		tests/test_integer_regression.py
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks.conftest import RESULTS_DIR, emit
-from repro.core.omp_kernel import solve_item
+from repro.core.omp_kernel import solve_item_many
 from repro.core.problem import SelectionConfig
 from repro.core.vectors import OpinionScheme
 from repro.data.corpus import Corpus
@@ -146,7 +146,7 @@ def _warm_store(corpus, config):
 def _selections(artifacts, config):
     results = []
     for tau, solver in zip(artifacts.taus, artifacts.solver):
-        selection = solve_item(solver, tau, artifacts.gamma, config)
+        [selection] = solve_item_many(solver, [(tau, artifacts.gamma, config)])
         results.append((selection.selected, selection.objective))
     return results
 

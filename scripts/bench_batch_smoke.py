@@ -4,7 +4,8 @@ Three invariants, sized to run in seconds:
 
 * a burst of 8 distinct select requests solved in one ``select_many``
   call is byte-identical to solving them one at a time through the
-  sequential selectors (shared artifacts, memo cleared per run);
+  selectors (each a one-job batch; shared artifacts, memo cleared per
+  run) and to the scipy-nnls reference selectors (``use_kernel=False``);
 * the provable candidate pre-screen returns the same selection as both
   the unscreened kernel and the scipy-nnls reference on a wide item,
   while actually pruning candidates;
@@ -116,12 +117,13 @@ def burst_check() -> None:
         for item in artifacts:
             item.clear_solve_cache()
 
-    def solo(job):
+    def selector(job, use_kernel=True):
         if job.algorithm == "CompaReSetS":
-            selector = CompareSetsSelector()
-        else:
-            selector = CompareSetsPlusSelector(variant=job.variant)
-        return selector.select(
+            return CompareSetsSelector(use_kernel=use_kernel)
+        return CompareSetsPlusSelector(variant=job.variant, use_kernel=use_kernel)
+
+    def solo(job):
+        return selector(job).select(
             instance, job.config, space=space, solver_artifacts=artifacts
         )
 
@@ -143,6 +145,14 @@ def burst_check() -> None:
             for ours, theirs in zip(batched_results, sequential_results)
         ),
         f"{BURST}-burst batched selections == sequential selections",
+    )
+    check(
+        all(
+            ours.selections
+            == selector(job, use_kernel=False).select(instance, job.config).selections
+            for job, ours in zip(jobs, batched_results)
+        ),
+        f"{BURST}-burst batched selections == nnls reference selections",
     )
 
     def heaviest():
@@ -190,15 +200,6 @@ def screen_check() -> None:
     total = timer.counters.get("screen_total", 0)
     kept = timer.counters.get("screen_kept", 0)
     check(0 < kept < total, f"screen pruned {total - kept}/{total} candidates")
-
-    empirical = SolverArtifacts(space, reviews, config.lam, screen="empirical")
-    loose = select_for_item(
-        space, reviews, tau, gamma, config, artifacts=empirical
-    )
-    check(
-        len(loose) <= config.max_reviews,
-        "empirical screen returns a within-budget selection",
-    )
 
 
 def main() -> int:

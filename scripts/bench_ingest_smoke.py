@@ -30,7 +30,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import numpy as np
 
-from repro.core.omp_kernel import solve_item
+from repro.core.omp_kernel import solve_item_many
 from repro.core.problem import SelectionConfig
 from repro.data.corpus import Corpus
 from repro.data.models import AspectMention, Product, Review
@@ -116,7 +116,7 @@ def selections(artifacts, config):
     return [
         (sel.selected, sel.objective)
         for sel in (
-            solve_item(solver, tau, artifacts.gamma, config)
+            solve_item_many(solver, [(tau, artifacts.gamma, config)])[0]
             for tau, solver in zip(artifacts.taus, artifacts.solver)
         )
     ]

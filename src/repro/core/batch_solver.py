@@ -9,14 +9,17 @@ one multi-RHS pursuit (:func:`~repro.core.omp_kernel.batch_omp_many`), so
 each Batch-OMP round costs one ``G[:, S] @ C`` GEMM across all requests
 instead of one mat-vec per request per round.
 
-Equivalence: the per-request results are byte-identical to running each
-request alone through :class:`~repro.core.compare_sets.CompareSetsSelector`
-/ :class:`~repro.core.compare_sets_plus.CompareSetsPlusSelector` with the
-same artifacts — the batch entry points replicate the selectors' exact
-iteration order (base solve per item, then alternating sweeps with
-per-item phi refresh) and the kernel's exact-mode tie rechecks stay
-per-request.  Solves also land in the same per-artifact memo cache, so a
-batch warms the cache exactly like its sequential equivalent would.
+This is the kernel's only driver of CompaReSetS and CompaReSetS+:
+:class:`~repro.core.compare_sets.CompareSetsSelector` and
+:class:`~repro.core.compare_sets_plus.CompareSetsPlusSelector` run a
+single request as a batch of one.
+
+Equivalence: the per-request results are byte-identical to the
+scipy-``nnls`` reference selectors (``use_kernel=False``) — the batch
+replicates their iteration order (base solve per item, then alternating
+sweeps with per-item phi refresh) and the kernel's tie rechecks stay
+per-request.  Solves land in the per-artifact memo cache, so a batch
+warms the cache exactly like its one-request batches would.
 
 The serving layer (:mod:`repro.serve.engine`) feeds sealed micro-batches
 of distinct-target requests here; ``CompaReSetS+`` requests additionally
@@ -65,22 +68,19 @@ def select_many(
     jobs: list[BatchJob],
     *,
     space: VectorSpace,
-    solver_artifacts: tuple[SolverArtifacts, ...],
+    solver_artifacts: tuple[SolverArtifacts, ...] | None = None,
     timer: StageTimer | None = None,
-    exact: bool = True,
 ) -> list[SelectionResult]:
     """Solve many selection requests against one instance in lockstep.
 
     Returns one :class:`SelectionResult` per job, in job order, each
-    byte-identical to the corresponding sequential selector run.  All
-    jobs share ``space`` and the per-item ``solver_artifacts`` (hence one
+    byte-identical to the corresponding reference selector run.  All jobs
+    share ``space`` and the per-item ``solver_artifacts`` (hence one
     ``lam``/scheme); budgets, ``mu``, sweeps, algorithm, and variant vary
-    freely per job.
+    freely per job.  Without ``solver_artifacts`` the per-item artifacts
+    are built here, against the first job's ``lam``, and their dedup and
+    Gram time lands in ``timer``.
     """
-    if len(solver_artifacts) != instance.num_items:
-        raise ValueError(
-            f"{len(solver_artifacts)} artifacts for {instance.num_items} items"
-        )
     for job in jobs:
         if job.algorithm not in BATCHABLE_ALGORITHMS:
             raise ValueError(
@@ -91,6 +91,18 @@ def select_many(
             raise ValueError(
                 f"variant must be 'literal' or 'weighted', got {job.variant!r}"
             )
+    if not jobs:
+        return []
+    timer = timer if timer is not None else StageTimer()
+    if solver_artifacts is None:
+        solver_artifacts = tuple(
+            SolverArtifacts(space, reviews, jobs[0].config.lam, timer=timer)
+            for reviews in instance.reviews
+        )
+    if len(solver_artifacts) != instance.num_items:
+        raise ValueError(
+            f"{len(solver_artifacts)} artifacts for {instance.num_items} items"
+        )
     for item_index, (artifacts, reviews) in enumerate(
         zip(solver_artifacts, instance.reviews)
     ):
@@ -100,7 +112,6 @@ def select_many(
                     f"artifacts for item {item_index} do not match the batch "
                     "space/reviews/lam"
                 )
-    timer = timer if timer is not None else StageTimer()
     num_items = instance.num_items
     gamma = space.aspect_vector(instance.reviews[0])
     taus = [space.opinion_vector(reviews) for reviews in instance.reviews]
@@ -118,7 +129,6 @@ def select_many(
             solver_artifacts[item_index],
             [(taus[item_index], gamma, job.config) for job in jobs],
             timer=timer,
-            exact=exact,
         )
         for job_index, selection in enumerate(solved):
             base[job_index][item_index] = selection.selected
@@ -133,7 +143,7 @@ def select_many(
         phis = {
             index: [
                 space.aspect_vector(
-                    [instance.reviews[i][k] for k in base[index][i]]
+                    tuple(instance.reviews[i][k] for k in base[index][i])
                 )
                 for i in range(num_items)
             ]
@@ -166,7 +176,7 @@ def select_many(
                         )
                     )
                 solved = solve_plus_item_many(
-                    solver_artifacts[item_index], batch, timer=timer, exact=exact
+                    solver_artifacts[item_index], batch, timer=timer
                 )
                 for index, selection in zip(active, solved):
                     if selection != selections[index][item_index]:

@@ -7,21 +7,21 @@ equals a single regression against the concatenated target
 [tau_i; lambda * Gamma] with matrix rows [opinion incidence;
 lambda * aspect incidence].
 
-Two solver paths produce identical selections: the Gram-cached Batch-OMP
-kernel (:mod:`repro.core.omp_kernel`, the default — reusable per-item
-:class:`~repro.core.omp_kernel.SolverArtifacts`, counts-level candidate
-evaluation) and the original scipy-``nnls`` reference retained under
-``use_kernel=False`` as the equivalence baseline.
+By default the selector runs the Gram-cached Batch-OMP kernel through
+:func:`~repro.core.batch_solver.select_many`, as a batch of one request;
+``use_kernel=False`` keeps the original scipy-``nnls`` reference, the
+oracle the kernel's byte-identity tests compare against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.batch_solver import BatchJob, select_many
 from repro.core.distance import concat_scaled
 from repro.core.integer_regression import integer_regression_select
 from repro.core.objective import item_objective
-from repro.core.omp_kernel import SolverArtifacts, StageTimer, solve_item
+from repro.core.omp_kernel import SolverArtifacts, StageTimer, solve_item_many
 from repro.core.problem import SelectionConfig
 from repro.core.selection import SelectionResult, build_space, register_selector
 from repro.core.vectors import VectorSpace, regression_columns
@@ -57,7 +57,8 @@ def select_for_item(
             raise ValueError(
                 "solver artifacts are bound to a different item or config"
             )
-        return solve_item(artifacts, tau, gamma, config, timer=timer).selected
+        [solution] = solve_item_many(artifacts, [(tau, gamma, config)], timer=timer)
+        return solution.selected
     columns = regression_columns(space, reviews, config.lam)
     target = concat_scaled((1.0, tau), (config.lam, gamma))
 
@@ -92,7 +93,6 @@ class CompareSetsSelector:
         *,
         space: VectorSpace | None = None,
         solver_artifacts: tuple[SolverArtifacts, ...] | None = None,
-        timer: StageTimer | None = None,
     ) -> SelectionResult:
         """Solve CompaReSetS on ``instance``; ``rng`` is unused (deterministic).
 
@@ -103,43 +103,29 @@ class CompareSetsSelector:
         ``config.scheme``.  ``solver_artifacts`` likewise reuses one
         :class:`SolverArtifacts` per item (built against ``space`` and
         ``config.lam``), letting warm serving requests skip dedup + Gram
-        entirely; ``timer`` aggregates stage timings into a caller's
-        :class:`StageTimer` instead of a fresh one.
+        entirely.
         """
         if space is None:
             space = build_space(instance, config)
-        own_timer = timer
-        if own_timer is None and self.use_kernel:
-            own_timer = StageTimer()
+        if self.use_kernel:
+            return select_many(
+                instance,
+                [BatchJob(self.name, config)],
+                space=space,
+                solver_artifacts=solver_artifacts,
+            )[0]
         gamma = space.aspect_vector(instance.reviews[0])
-        selections = []
-        for item_index, reviews in enumerate(instance.reviews):
-            tau = space.opinion_vector(reviews)
-            item_artifacts = (
-                solver_artifacts[item_index]
-                if solver_artifacts is not None
-                else None
+        selections = tuple(
+            select_for_item(
+                space,
+                reviews,
+                space.opinion_vector(reviews),
+                gamma,
+                config,
+                use_kernel=False,
             )
-            selections.append(
-                select_for_item(
-                    space,
-                    reviews,
-                    tau,
-                    gamma,
-                    config,
-                    artifacts=item_artifacts,
-                    timer=own_timer,
-                    use_kernel=self.use_kernel,
-                )
-            )
+            for reviews in instance.reviews
+        )
         return SelectionResult(
-            instance=instance,
-            selections=tuple(selections),
-            algorithm=self.name,
-            timings=own_timer.as_millis() if own_timer is not None else None,
-            counters=(
-                dict(own_timer.counters)
-                if own_timer is not None and own_timer.counters
-                else None
-            ),
+            instance=instance, selections=selections, algorithm=self.name
         )

@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.batch_solver import BatchJob, select_many
 from repro.core.compare_sets import CompareSetsSelector
 from repro.core.distance import concat_scaled, squared_l2
 from repro.core.integer_regression import integer_regression_select
 from repro.core.objective import item_objective
-from repro.core.omp_kernel import SolverArtifacts, StageTimer, solve_plus_item
+from repro.core.omp_kernel import SolverArtifacts
 from repro.core.problem import SelectionConfig
 from repro.core.selection import SelectionResult, build_space, register_selector
 from repro.core.vectors import VectorSpace, regression_columns
@@ -78,7 +79,10 @@ class CompareSetsPlusSelector:
 
     ``variant="literal"`` (default) follows Algorithm 1 verbatim (see the
     module docstring); ``variant="weighted"`` is the Eq.-5-consistent
-    alternative.  The ablation benchmark compares the two.
+    alternative.  The ablation benchmark compares the two.  The default
+    kernel runs the request through
+    :func:`~repro.core.batch_solver.select_many` as a batch of one;
+    ``use_kernel=False`` pins the scipy-``nnls`` reference.
     """
 
     name = "CompaReSetS+"
@@ -109,22 +113,19 @@ class CompareSetsPlusSelector:
         """
         if space is None:
             space = build_space(instance, config)
-        timer = StageTimer() if self.use_kernel else None
-        if self.use_kernel and solver_artifacts is None:
-            solver_artifacts = tuple(
-                SolverArtifacts(space, reviews, config.lam, timer=timer)
-                for reviews in instance.reviews
-            )
+        if self.use_kernel:
+            return select_many(
+                instance,
+                [BatchJob(self.name, config, self.variant)],
+                space=space,
+                solver_artifacts=solver_artifacts,
+            )[0]
         gamma = space.aspect_vector(instance.reviews[0])
         taus = [space.opinion_vector(reviews) for reviews in instance.reviews]
 
         # Algorithm 1 input: the CompaReSetS solution.
-        initial = CompareSetsSelector(use_kernel=self.use_kernel).select(
-            instance,
-            config,
-            space=space,
-            solver_artifacts=solver_artifacts,
-            timer=timer,
+        initial = CompareSetsSelector(use_kernel=False).select(
+            instance, config, space=space
         )
         selections: list[tuple[int, ...]] = list(initial.selections)
         phis: list[np.ndarray] = [
@@ -141,28 +142,16 @@ class CompareSetsPlusSelector:
                 other_phis = [
                     phis[j] for j in range(num_items) if j != item_index
                 ]
-                if self.use_kernel:
-                    selection = solve_plus_item(
-                        solver_artifacts[item_index],
-                        taus[item_index],
-                        gamma,
-                        other_phis,
-                        config,
-                        current=selections[item_index],
-                        literal=(self.variant == "literal"),
-                        timer=timer,
-                    )
-                else:
-                    selection = self._solve_item(
-                        space,
-                        reviews,
-                        taus[item_index],
-                        gamma,
-                        other_phis,
-                        config,
-                        current=selections[item_index],
-                        literal=(self.variant == "literal"),
-                    )
+                selection = self._inner_iteration(
+                    space,
+                    reviews,
+                    taus[item_index],
+                    gamma,
+                    other_phis,
+                    config,
+                    current=selections[item_index],
+                    literal=(self.variant == "literal"),
+                )
                 if selection != selections[item_index]:
                     selections[item_index] = selection
                     phis[item_index] = space.aspect_vector(
@@ -170,19 +159,11 @@ class CompareSetsPlusSelector:
                     )
 
         return SelectionResult(
-            instance=instance,
-            selections=tuple(selections),
-            algorithm=self.name,
-            timings=timer.as_millis() if timer is not None else None,
-            counters=(
-                dict(timer.counters)
-                if timer is not None and timer.counters
-                else None
-            ),
+            instance=instance, selections=tuple(selections), algorithm=self.name
         )
 
     @staticmethod
-    def _solve_item(
+    def _inner_iteration(
         space: VectorSpace,
         reviews: tuple[Review, ...],
         tau: np.ndarray,

@@ -9,28 +9,25 @@ Matching Pursuit") restructures the pursuit around precomputed quantities:
 * ``G = W^T W`` (the Gram matrix) and ``b = W^T y`` are computed once;
   the correlation after adding support S with coefficients c is
   ``alpha = b - G[:, S] c`` — a (q, |S|) product instead of a (D, q) one.
-* The support least-squares is solved through an incrementally updated
-  Cholesky factor of ``G[S, S]`` (one triangular solve per new atom),
-  falling back to scipy ``nnls`` when the unconstrained solve goes
-  negative or the support turns numerically rank-deficient.
+* Problems posed against one Gram run in lockstep
+  (:func:`batch_omp_many`): each round updates every active problem with
+  one ``G[:, S_union] C`` GEMM.  A single request is a batch of one, whose
+  lone pursuit updates with one mat-vec.
 
-Byte-identical selections demand one refinement over textbook Batch-OMP.
+Byte-identical selections demand two refinements over textbook Batch-OMP.
 ``alpha`` equals ``W^T r`` *mathematically* but not bitwise, and the
 incidence structure of review columns produces exact correlation ties
 (two disjoint reviews covering equally many target aspects), so ulp-level
-noise can flip the greedy atom choice against the reference; likewise the
-unconstrained Cholesky coefficients differ from nnls's in the last ulp,
-which flips remainder ties inside the discrete rounding stage.  The
-default **exact mode** therefore (a) uses ``alpha`` only as a *screen* —
-when the winner's margin over the runner-up is below a conservative
-epsilon (or the stopping test is borderline), the reference correlation
-vector ``W^T (y - W_S c)`` is recomputed with the reference's own
-expressions, bitwise — and (b) always takes the support coefficients from
-scipy ``nnls`` exactly as the reference does (they feed the rounding
-stage, where their last ulp matters).  ``exact=False`` switches to the
-textbook fast path (Gram correlations + Cholesky coefficients) whose
-selections may diverge on tie-heavy instances; the core benchmark
-measures both.
+noise can flip the greedy atom choice against the reference; likewise
+unconstrained Cholesky coefficients would differ from nnls's in the last
+ulp, which flips remainder ties inside the discrete rounding stage.  The
+kernel therefore (a) uses ``alpha`` only as a *screen* — when the
+winner's margin over the runner-up is below a conservative epsilon (or
+the stopping test is borderline), the reference correlation vector
+``W^T (y - W_S c)`` is recomputed with the reference's own expressions,
+bitwise — and (b) always takes the support coefficients from scipy
+``nnls`` exactly as the reference does (they feed the rounding stage,
+where their last ulp matters).
 
 The Eq.-4 / Algorithm-1 matrices are stacked from two row blocks — the
 opinion incidence O and the aspect incidence A — so their Grams compose
@@ -75,7 +72,6 @@ from contextlib import contextmanager
 from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.optimize import nnls
 
 from repro.core.distance import concat_scaled, squared_l2
@@ -585,56 +581,11 @@ class SolverArtifacts:
     def peek(self, key: tuple) -> RegressionSelection | None:
         """A memoised solve for ``key``, or None (never computes).
 
-        The batched entry points use it to split a request batch into
-        memo hits and the misses worth stacking into one multi-RHS
-        pursuit.
+        The drivers use it to split a request batch into memo hits and
+        the misses worth stacking into one multi-RHS pursuit.
         """
         with self._lock:
             return self._solve_cache.get(key)
-
-    def solve_many(
-        self,
-        jobs: Sequence[tuple],
-        *,
-        timer: StageTimer | None = None,
-        exact: bool = True,
-    ) -> list:
-        """Solve a mixed batch of per-item subproblems in lockstep.
-
-        Each job is either ``("item", tau, gamma, config)`` — one Eq.-4
-        CompaReSetS solve, yielding a :class:`RegressionSelection` — or
-        ``("plus", tau, gamma, other_phis, config, current, literal)`` —
-        one Algorithm-1 inner iteration, yielding the accepted selection
-        tuple exactly like :func:`solve_plus_item`.  Jobs that share a
-        Gram block are stacked into single GEMM-shaped pursuit rounds
-        (:func:`batch_omp_many`); results are byte-identical to issuing
-        the jobs one at a time and land in the same memo cache.
-        """
-        timer = timer if timer is not None else StageTimer()
-        results: list = [None] * len(jobs)
-        item_jobs: list[tuple[int, tuple]] = []
-        plus_jobs: list[tuple[int, tuple]] = []
-        for index, job in enumerate(jobs):
-            kind = job[0]
-            if kind == "item":
-                item_jobs.append((index, job[1:]))
-            elif kind == "plus":
-                plus_jobs.append((index, job[1:]))
-            else:
-                raise ValueError(f"unknown solve_many job kind {kind!r}")
-        if item_jobs:
-            solved = solve_item_many(
-                self, [job for _, job in item_jobs], timer=timer, exact=exact
-            )
-            for (index, _), result in zip(item_jobs, solved):
-                results[index] = result
-        if plus_jobs:
-            solved = solve_plus_item_many(
-                self, [job for _, job in plus_jobs], timer=timer, exact=exact
-            )
-            for (index, _), result in zip(plus_jobs, solved):
-                results[index] = result
-        return results
 
     def clear_solve_cache(self) -> None:
         """Drop memoised solve results, keeping the Gram blocks.
@@ -725,11 +676,9 @@ class SolverArtifacts:
 _SOLVE_CACHE_LIMIT = 1024
 
 #: Valid candidate pre-screen modes for :class:`SolverArtifacts`.
-#: ``auto`` screens provably once an item crosses
-#: :data:`_SCREEN_MIN_GROUPS` unique columns; ``provable`` / ``empirical``
-#: force screening at any size (the latter trades the exactness
-#: certificate for speed); ``off`` disables it.
-_SCREEN_MODES = frozenset({"auto", "off", "provable", "empirical"})
+#: ``auto`` screens once an item crosses :data:`_SCREEN_MIN_GROUPS` unique
+#: columns; ``provable`` forces screening at any size; ``off`` disables it.
+_SCREEN_MODES = frozenset({"auto", "off", "provable"})
 
 #: ``screen="auto"`` threshold: below this many unique columns the dense
 #: Gram path is already fast and byte-exact, so screening only kicks in
@@ -745,18 +694,12 @@ _SCREEN_KEEP_MIN = 256
 _SCREEN_KEEP_FACTOR = 16
 
 
-def _screen_active(screen: str, num_groups: int, exact: bool) -> bool:
-    """Whether the pre-screen governs this solve.
-
-    ``exact=False`` already runs the textbook fast path whose selections
-    may diverge; the screen only targets the exact path, where avoiding
-    the O(q^2) Gram is the win worth certifying.
-    """
-    if screen == "off" or not exact:
-        return False
+def _screen_active(screen: str, num_groups: int) -> bool:
+    """Whether the pre-screen governs solves on a block of ``num_groups``."""
     if screen == "auto":
         return num_groups >= _SCREEN_MIN_GROUPS
-    return True
+    return screen == "provable"
+
 
 #: Relative margin below which a screened atom choice counts as a tie and
 #: the exact correlation vector is recomputed.  The fp discrepancy between
@@ -772,52 +715,41 @@ class _PursuitState:
     __slots__ = (
         "b",
         "target",
-        "target_float",
         "max_steps",
         "support",
         "in_support",
         "coefficients",
-        "lower",
-        "cholesky_ok",
         "path",
     )
 
     def __init__(
-        self, b: np.ndarray, target: np.ndarray, max_steps: int,
-        num_columns: int, exact: bool,
+        self, b: np.ndarray, target: np.ndarray, max_steps: int, num_columns: int
     ) -> None:
         self.b = np.asarray(b, dtype=float)
         self.target = target
-        self.target_float = target.astype(float)
         self.max_steps = max_steps
         self.support: list[int] = []
         self.in_support = np.zeros(num_columns, dtype=bool)
         self.coefficients = np.zeros(0)
-        self.lower = np.zeros((max_steps, max_steps)) if not exact else None
-        self.cholesky_ok = not exact
         self.path: list[np.ndarray] = []
 
 
 def _pursuit_step(
-    state: _PursuitState,
-    alpha: np.ndarray,
-    gram: np.ndarray,
-    stacked: np.ndarray,
-    exact: bool,
+    state: _PursuitState, alpha: np.ndarray, stacked: np.ndarray
 ) -> bool:
     """Add one atom to ``state``'s path, choosing it from ``alpha``.
 
     Returns False, adding nothing, when no column correlates positively.
-    :func:`batch_omp_path` and :func:`batch_omp_many` share it, so a
-    batched problem takes exactly the steps it would take alone.
+    Every round of :func:`batch_omp_many`, batched or lone, goes through
+    it, so a problem takes exactly the steps it would take alone.
     """
-    num_columns = gram.shape[1]
+    num_columns = stacked.shape[1]
     support = state.support
     correlations = alpha.copy()
     correlations[state.in_support] = -np.inf
     best = int(np.argmax(correlations))
     top = float(correlations[best])
-    if exact and support:
+    if support:
         # Screen: the Gram-updated alpha differs from the reference's
         # W^T r by fp noise only, so an unambiguous winner is *the*
         # winner.  On a near-tie (or a borderline stop) recompute the
@@ -826,91 +758,36 @@ def _pursuit_step(
         runner_up = float(correlations.max()) if num_columns > 1 else -np.inf
         margin = _TIE_MARGIN * max(1.0, abs(top), abs(runner_up))
         if top - runner_up <= margin or top <= _CORRELATION_TOLERANCE + margin:
-            residual = state.target_float - stacked[:, support] @ state.coefficients
+            residual = state.target - stacked[:, support] @ state.coefficients
             refreshed = stacked.T @ residual
             refreshed[state.in_support] = -np.inf
             best = int(np.argmax(refreshed))
             top = float(refreshed[best])
     if top <= _CORRELATION_TOLERANCE:
         return False
-    size = len(support)
-    if state.cholesky_ok:
-        pivot = float(gram[best, best])
-        if size:
-            w = solve_triangular(
-                state.lower[:size, :size], gram[support, best],
-                lower=True, check_finite=False,
-            )
-            pivot -= float(w @ w)
-        if pivot <= 1e-12 * max(1.0, float(gram[best, best])):
-            state.cholesky_ok = False
-        else:
-            if size:
-                state.lower[size, :size] = w
-            state.lower[size, size] = np.sqrt(pivot)
     support.append(best)
     state.in_support[best] = True
-    size += 1
-
-    step: np.ndarray | None = None
-    if state.cholesky_ok:
-        factor = state.lower[:size, :size]
-        rhs = state.b[support]
-        forward = solve_triangular(factor, rhs, lower=True, check_finite=False)
-        step = solve_triangular(factor.T, forward, lower=False, check_finite=False)
-        if np.any(step < 0.0):
-            step = None
-    if step is None:
-        step, _ = nnls(stacked[:, support], state.target)
-    state.coefficients = step
+    state.coefficients, _ = nnls(stacked[:, support], state.target)
     x = np.zeros(num_columns)
-    x[support] = step
+    x[support] = state.coefficients
     state.path.append(x)
     return True
 
 
-def batch_omp_path(
-    gram: np.ndarray,
-    b: np.ndarray,
-    max_atoms: int,
-    stacked: np.ndarray,
-    target: np.ndarray,
-    *,
-    exact: bool = True,
-) -> list[np.ndarray]:
-    """Non-negative Batch-OMP, returning the solution after *every* atom.
+def _finish_alone(
+    state: _PursuitState, gram: np.ndarray, stacked: np.ndarray
+) -> None:
+    """Run ``state``'s pursuit to its end, one mat-vec per round.
 
-    Drop-in counterpart of
-    :func:`~repro.core.integer_regression.nomp_path` operating on the
-    precomputed Gram ``gram = stacked^T stacked`` and correlation
-    ``b = stacked^T target``.  Atom selection uses the Gram-updated
-    correlation ``alpha = b - gram[:, S] c`` as a screen.
-
-    ``exact=True`` (the default) guarantees the returned path is
-    bit-identical to the reference ``nomp_path(stacked, target, ...)``:
-    when the screened winner's margin (or the stopping test) falls below
-    :data:`_TIE_MARGIN` the reference correlations are recomputed with the
-    reference's own expressions, and the support coefficients always come
-    from scipy ``nnls`` (their last ulp feeds the rounding stage).
-    ``exact=False`` is textbook Batch-OMP — Gram correlations plus
-    incremental-Cholesky coefficients, with nnls only when the
-    unconstrained solve goes negative or the support turns numerically
-    rank-deficient — whose atom/rounding tie-breaks may diverge from the
-    reference on tie-heavy instances.
+    The last active problem of :func:`batch_omp_many` (always, for a batch
+    of one) needs no union or scatter: its correlation update is
+    ``b - gram[:, S] @ c``.
     """
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ValueError(f"expected a square Gram matrix, got shape {gram.shape}")
-    num_columns = gram.shape[1]
-    if num_columns == 0 or max_atoms <= 0:
-        return []
-
-    state = _PursuitState(b, target, min(max_atoms, num_columns), num_columns, exact)
     alpha = state.b
-    while len(state.path) < state.max_steps and _pursuit_step(
-        state, alpha, gram, stacked, exact
-    ):
+    if state.support:
         alpha = state.b - gram[:, state.support] @ state.coefficients
-    return state.path
+    while _pursuit_step(state, alpha, stacked) and len(state.path) < state.max_steps:
+        alpha = state.b - gram[:, state.support] @ state.coefficients
 
 
 def batch_omp_many(
@@ -919,36 +796,35 @@ def batch_omp_many(
     budgets: Sequence[int],
     stacked: np.ndarray,
     targets: Sequence[np.ndarray],
-    *,
-    exact: bool = True,
 ) -> list[list[np.ndarray]]:
-    """Many concurrent pursuits over one shared Gram, GEMM-stacked.
+    """Non-negative Batch-OMP for many problems over one shared Gram.
 
-    The multi-RHS counterpart of :func:`batch_omp_path`: ``bs[t]``,
-    ``budgets[t]``, ``targets[t]`` pose problem ``t`` against the shared
-    ``gram = stacked^T stacked``, and each round updates every still-active
-    problem's correlations with **one** ``gram[:, S_union] @ C`` product
-    (``S_union`` the union of active supports, ``C`` the per-problem
-    coefficients scattered into union rows) instead of one mat-vec per
-    problem.  Returns each problem's per-atom solution path; in exact mode
-    (the default) it is byte-identical to
-    ``batch_omp_path(gram, bs[t], budgets[t], stacked, targets[t])``.
-    ``exact=False`` keeps the textbook fast path's existing caveat: with
-    no tie rechecks, the GEMM's summation-order noise may flip tie-heavy
-    atom choices exactly like the fast path already may against the
-    reference.
+    ``bs[t]``, ``budgets[t]``, ``targets[t]`` pose problem ``t`` against
+    the shared ``gram = stacked^T stacked`` with ``bs[t] = stacked^T
+    targets[t]``.  Returns each problem's solution after *every* atom,
+    byte-identical to the reference
+    :func:`~repro.core.integer_regression.nomp_path` ``(stacked,
+    targets[t], budgets[t])``.  Atom selection uses the Gram-updated
+    correlation ``alpha = b - gram[:, S] c`` as a screen: when the
+    winner's margin (or the stopping test) falls below :data:`_TIE_MARGIN`
+    the reference correlations are recomputed with the reference's own
+    expressions, and the support coefficients always come from scipy
+    ``nnls`` (their last ulp feeds the rounding stage).
 
-    Why the GEMM cannot flip an exact-mode selection: zero rows of ``C``
-    contribute
-    exactly 0.0, so the batched alpha differs from the sequential one only
-    by summation-order noise (~1e-13 relative), four orders of magnitude
+    While two or more problems are active, each round updates all of them
+    with **one** ``gram[:, S_union] @ C`` product (``S_union`` the union of
+    active supports, ``C`` the per-problem coefficients scattered into
+    union rows); the last one finishes alone (:func:`_finish_alone`).
+
+    Why the GEMM cannot flip a selection: zero rows of ``C`` contribute
+    exactly 0.0, so the batched alpha differs from the lone one only by
+    summation-order noise (~1e-13 relative), four orders of magnitude
     below :data:`_TIE_MARGIN` — any choice that close to the margin
     triggers the same reference-expression recheck either way, and the
-    recheck recomputes ``W^T (y - W_S c)`` per problem with the exact
-    sequential expression.  First-round correlations are the caller's
-    ``b`` vectors verbatim (never re-derived through the GEMM), and the
-    support coefficients come from per-problem scipy ``nnls`` on identical
-    inputs.
+    recheck recomputes ``W^T (y - W_S c)`` per problem.  First-round
+    correlations are the caller's ``b`` vectors verbatim (never re-derived
+    through a product), and the support coefficients come from
+    per-problem scipy ``nnls`` on identical inputs.
 
     Identical targets are internally deduplicated: the greedy choice and
     the per-round nnls are budget-independent, so the budget-``m`` path is
@@ -966,6 +842,13 @@ def batch_omp_many(
     paths: list[list[np.ndarray]] = [[] for _ in range(len(bs))]
     if num_columns == 0 or not bs:
         return paths
+    if len(bs) == 1:  # a batch of one needs no dedup, union or scatter
+        max_steps = min(budgets[0], num_columns)
+        if max_steps > 0:
+            state = _PursuitState(bs[0], targets[0], max_steps, num_columns)
+            _finish_alone(state, gram, stacked)
+            paths[0] = state.path
+        return paths
 
     # Dedup identical subproblems (same target implies same b): solve one
     # pursuit at the largest requested budget, slice prefixes per member.
@@ -975,20 +858,17 @@ def batch_omp_many(
     states: list[_PursuitState] = []
     groups: list[list[int]] = []
     for group in members.values():
-        budget = max(budgets[i] for i in group)
-        max_steps = min(budget, num_columns)
+        max_steps = min(max(budgets[i] for i in group), num_columns)
         if max_steps <= 0:
             continue
         leader = group[0]
         states.append(
-            _PursuitState(
-                bs[leader], targets[leader], max_steps, num_columns, exact
-            )
+            _PursuitState(bs[leader], targets[leader], max_steps, num_columns)
         )
         groups.append(group)
 
     active = list(range(len(states)))
-    while active:
+    while len(active) > 1:
         union = sorted({atom for p in active for atom in states[p].support})
         alphas = np.column_stack([states[p].b for p in active])
         if union:
@@ -1000,15 +880,14 @@ def batch_omp_many(
                     rows = [row_of[atom] for atom in state.support]
                     scatter[rows, col] = state.coefficients
             alphas -= gram[:, union] @ scatter
-        still_active: list[int] = []
-        for col, p in enumerate(active):
-            state = states[p]
-            if (
-                _pursuit_step(state, alphas[:, col], gram, stacked, exact)
-                and len(state.path) < state.max_steps
-            ):
-                still_active.append(p)
-        active = still_active
+        active = [
+            p
+            for col, p in enumerate(active)
+            if _pursuit_step(states[p], alphas[:, col], stacked)
+            and len(states[p].path) < states[p].max_steps
+        ]
+    for p in active:
+        _finish_alone(states[p], gram, stacked)
 
     for state, group in zip(states, groups):
         for index in group:
@@ -1022,14 +901,13 @@ def _screened_omp_path(
     max_atoms: int,
     norms: np.ndarray,
     *,
-    empirical: bool,
     nonneg: bool,
     timer: StageTimer,
 ) -> list[np.ndarray]:
-    """Exact-mode pursuit over a pre-screened candidate set, Gram-free.
+    """The pursuit over a pre-screened candidate set, Gram-free.
 
     For 10k-100k-review items the O(q^2 D) Gram behind
-    :func:`batch_omp_path` dominates end to end, yet a budget-``m``
+    :func:`batch_omp_many` dominates end to end, yet a budget-``m``
     pursuit touches at most ``m`` support atoms.  This path ranks all
     columns once by their initial correlation ``b = W^T y`` (one O(q D)
     product — bitwise the reference's first-round correlations), keeps
@@ -1037,21 +915,18 @@ def _screened_omp_path(
     the pursuit against lazily built Gram *columns* restricted to the
     kept set (O(keep * D) per atom, never O(q^2)).
 
-    Exactness (default, ``empirical=False``) comes from a per-round
-    certificate instead of trusting the ranking: with non-negative
-    incidence and nnls coefficients ``c >= 0`` every pruned column obeys
-    ``corr_j = b_j - w_j . (W_S c) <= b_j``, and Cauchy-Schwarz gives
-    ``corr_j <= ||w_j|| ||r||`` unconditionally.  Whenever the kept
-    winner fails to beat the best pruned bound by :data:`_TIE_MARGIN` —
-    or ties within the kept set, or sits at the stopping boundary — the
-    reference correlation vector ``W^T r`` is recomputed over *all*
-    columns with the reference's own expressions and decides; an
-    out-of-set winner is promoted into the kept set (sorted insert, so
-    the lowest-index tie-break keeps matching the reference).  The
-    returned path is therefore byte-identical to the unscreened exact
-    pursuit.  ``empirical=True`` skips the certificate and restricts
-    rechecks to the kept set: faster, support preserved empirically but
-    not provably.
+    Exactness comes from a per-round certificate instead of trusting the
+    ranking: with non-negative incidence and nnls coefficients ``c >= 0``
+    every pruned column obeys ``corr_j = b_j - w_j . (W_S c) <= b_j``, and
+    Cauchy-Schwarz gives ``corr_j <= ||w_j|| ||r||`` unconditionally.
+    Whenever the kept winner fails to beat the best pruned bound by
+    :data:`_TIE_MARGIN` — or ties within the kept set, or sits at the
+    stopping boundary — the reference correlation vector ``W^T r`` is
+    recomputed over *all* columns with the reference's own expressions
+    and decides; an out-of-set winner is promoted into the kept set
+    (sorted insert, so the lowest-index tie-break keeps matching the
+    reference).  The returned path is therefore byte-identical to the
+    unscreened pursuit.
     """
     num_columns = stacked.shape[1]
     if num_columns == 0 or max_atoms <= 0:
@@ -1105,35 +980,22 @@ def _screened_omp_path(
                 top - runner_up <= margin
                 or top <= _CORRELATION_TOLERANCE + margin
             )
-            residual: np.ndarray | None = None
-            if not empirical and pruned_b.size:
-                residual = (
-                    target - stacked[:, support] @ coefficients
-                    if size
-                    else target
-                )
-                if not need_full:
-                    # Certificate: no pruned column can out-correlate the
-                    # kept winner.  At round one the nonneg bound equals
-                    # the exact correlation, so boundary cases always
-                    # fall through to the reference recheck.
-                    rnorm = float(np.sqrt(residual @ residual))
-                    bounds = pruned_norms * rnorm
-                    if nonneg:
-                        bounds = np.minimum(bounds, pruned_b)
-                    if top <= float(bounds.max()) + margin:
-                        need_full = True
+            residual = (
+                target - stacked[:, support] @ coefficients if size else target
+            )
+            if pruned_b.size and not need_full:
+                # Certificate: no pruned column can out-correlate the kept
+                # winner.  At round one the nonneg bound equals the exact
+                # correlation, so boundary cases always fall through to
+                # the reference recheck.
+                rnorm = float(np.sqrt(residual @ residual))
+                bounds = pruned_norms * rnorm
+                if nonneg:
+                    bounds = np.minimum(bounds, pruned_b)
+                need_full = top <= float(bounds.max()) + margin
             if need_full:
-                if residual is None:
-                    residual = (
-                        target - stacked[:, support] @ coefficients
-                        if size
-                        else target
-                    )
                 refreshed = stacked.T @ residual
                 refreshed[in_support] = -np.inf
-                if empirical:
-                    refreshed[pruned] = -np.inf
                 best = int(np.argmax(refreshed))
                 top = float(refreshed[best])
                 timer.count("screen_rechecks", 1)
@@ -1238,48 +1100,6 @@ class CountsEvaluator:
             return squared_l2(self.tau, pi) + squared_l2(self.gamma, phi) + pairwise
         base = squared_l2(self.tau, pi) + self.lam**2 * squared_l2(self.gamma, phi)
         return base + mu**2 * pairwise
-
-
-def _run_regression(
-    block: GramBlock,
-    sync_blocks: int,
-    target: np.ndarray,
-    max_reviews: int,
-    evaluate: _Evaluate,
-    timer: StageTimer,
-    exact: bool = True,
-    screen: str = "off",
-) -> RegressionSelection:
-    """The kernel's Integer-Regression driver for one problem.
-
-    The pursuit and the evaluation are served from precomputed artifacts;
-    :func:`_shared_path_selections` rounds and picks the candidate.  When
-    the pre-screen governs (:func:`_screen_active`), the pursuit switches
-    to :func:`_screened_omp_path` and the Gram is never materialised; the
-    rounding still sees the full dedup groups and capacities, so
-    largest-remainder spill into zero-coefficient groups stays identical.
-    """
-    target = np.asarray(target, dtype=float)
-    if _screen_active(screen, block.num_groups, exact):
-        with timer.stage("gram"):
-            stacked = block.stacked(sync_blocks)
-        with timer.stage("screen"):
-            norms = block.column_norms(sync_blocks)
-            nonneg = block.nonnegative()
-        path = _screened_omp_path(
-            stacked, target, max_reviews, norms,
-            empirical=screen == "empirical", nonneg=nonneg, timer=timer,
-        )
-    else:
-        with timer.stage("gram"):
-            gram = block.gram(sync_blocks)
-            stacked = block.stacked(sync_blocks)
-        with timer.stage("pursuit"):
-            b = stacked.T @ target
-            path = batch_omp_path(gram, b, max_reviews, stacked, target, exact=exact)
-    return _shared_path_selections(block, path, (max_reviews,), evaluate, timer)[
-        max_reviews
-    ]
 
 
 #: Elements per (steps x totals x groups) array in one chunk of
@@ -1419,10 +1239,18 @@ def _shared_path_selections(
     use, both prefix views of :func:`round_path`'s one pass at the largest
     budget; the budget-independent evaluator is memoised per selection, so
     a 16-way burst pays for one rounding pass instead of sixteen.
+
+    Each budget rounds at most the item's review count (the capacity
+    sum): a larger total hands out every unit of capacity, so its gap ties
+    the review-count total's and the strict scan never picks it, and the
+    path has at most that many steps.  Results stay keyed by the
+    requested budget, so a client's ``m`` bounds no work past the item.
     """
+    reviews = block.column_group.size  # one entry per review: the capacity sum
+    totals = [min(budget, reviews) for budget in budgets]
     with timer.stage("round"):
         _, picks = round_path(
-            path[: max(budgets)], block.capacities, block.groups, budgets
+            path[: max(budgets)], block.capacities, block.groups, totals
         )
     objective_of: dict[tuple[int, ...], float] = {}
 
@@ -1435,10 +1263,10 @@ def _shared_path_selections(
         return objective
 
     results: dict[int, RegressionSelection] = {}
-    for budget in sorted(set(budgets)):
+    for budget, total in dict(zip(budgets, totals)).items():
         best: RegressionSelection | None = None
         seen: set[tuple[int, ...]] = {()}
-        for counts, selection in picks[budget]:
+        for counts, selection in picks[total]:
             if selection in seen:
                 continue
             seen.add(selection)
@@ -1452,63 +1280,30 @@ def _shared_path_selections(
     return results
 
 
-def solve_item(
-    artifacts: SolverArtifacts,
-    tau: np.ndarray,
-    gamma: np.ndarray,
-    config: SelectionConfig,
-    *,
-    timer: StageTimer | None = None,
-    exact: bool = True,
+def _screened_selection(
+    block: GramBlock,
+    sync_blocks: int,
+    target: np.ndarray,
+    budget: int,
+    evaluate: _Evaluate,
+    timer: StageTimer,
 ) -> RegressionSelection:
-    """Kernel counterpart of the CompaReSetS per-item solve (Eq. 4)."""
-    timer = timer if timer is not None else StageTimer()
-    block = artifacts.base_block()
-    target = concat_scaled((1.0, tau), (config.lam, gamma))
-    key = ("item", config.max_reviews, exact, target.tobytes())
+    """One solve on a block the pre-screen governs (:func:`_screen_active`).
 
-    def compute() -> RegressionSelection:
-        evaluator = CountsEvaluator(artifacts, block, tau, gamma, config.lam)
-        return _run_regression(
-            block, 0, target, config.max_reviews, evaluator.item_value, timer,
-            exact=exact, screen=artifacts.screen,
-        )
-
-    return artifacts.cached_solve(key, compute)
-
-
-def solve_plus_item(
-    artifacts: SolverArtifacts,
-    tau: np.ndarray,
-    gamma: np.ndarray,
-    other_phis: Sequence[np.ndarray],
-    config: SelectionConfig,
-    current: tuple[int, ...],
-    literal: bool,
-    *,
-    timer: StageTimer | None = None,
-    exact: bool = True,
-) -> tuple[int, ...]:
-    """Kernel counterpart of one Algorithm-1 inner iteration for item i.
-
-    Returns the improved selection, or ``current`` when the regression
-    candidate does not strictly improve the acceptance score.  With no
-    other items the sync row block vanishes and the solve runs on the
-    CompaReSetS base block, exactly like ``regression_columns(...,
-    sync_blocks=0)`` does in the reference.
+    The pursuit runs through :func:`_screened_omp_path`, so the Gram is
+    never materialised; the rounding still sees the full dedup groups and
+    capacities, so largest-remainder spill into zero-coefficient groups
+    stays identical.
     """
-    timer = timer if timer is not None else StageTimer()
-    block, sync_blocks, target, key, evaluate = _plus_problem(
-        artifacts, tau, gamma, other_phis, config, literal, exact, timer
+    with timer.stage("gram"):
+        stacked = block.stacked(sync_blocks)
+    with timer.stage("screen"):
+        norms = block.column_norms(sync_blocks)
+        nonneg = block.nonnegative()
+    path = _screened_omp_path(
+        stacked, target, budget, norms, nonneg=nonneg, timer=timer
     )
-    candidate = artifacts.cached_solve(
-        key,
-        lambda: _run_regression(
-            block, sync_blocks, target, config.max_reviews, evaluate, timer,
-            exact=exact, screen=artifacts.screen,
-        ),
-    )
-    return _accepted(candidate, current, block, evaluate, timer)
+    return _shared_path_selections(block, path, (budget,), evaluate, timer)[budget]
 
 
 def _accepted(
@@ -1533,7 +1328,6 @@ def _plus_problem(
     other_phis: Sequence[np.ndarray],
     config: SelectionConfig,
     literal: bool,
-    exact: bool,
     timer: StageTimer,
 ) -> tuple[GramBlock, int, np.ndarray, tuple, _Evaluate]:
     """Block, sync count, target, memo key and acceptance score of one
@@ -1556,7 +1350,7 @@ def _plus_problem(
     # The target blocks (with mu / literal in the key) pin down the other
     # items' phis, so the memo key fully determines the candidate solve.
     key = (
-        "plus", sync_blocks, config.max_reviews, config.mu, literal, exact,
+        "plus", sync_blocks, config.max_reviews, config.mu, literal,
         target.tobytes(),
     )
     return block, sync_blocks, target, key, evaluate
@@ -1567,69 +1361,72 @@ def solve_item_many(
     jobs: Sequence[tuple],
     *,
     timer: StageTimer | None = None,
-    exact: bool = True,
 ) -> list[RegressionSelection]:
-    """Many CompaReSetS per-item solves (Eq. 4) stacked into one pursuit.
+    """CompaReSetS per-item solves (Eq. 4), stacked into one pursuit.
 
     Each job is ``(tau, gamma, config)``.  Memo hits are filled from the
     solve cache; the misses share the base block's Gram/stacked matrices
     and run through :func:`batch_omp_many`, so a burst of distinct
     targets pays one ``G[:, S] @ C`` per round instead of one mat-vec
-    per target per round.  Results are byte-identical to calling
-    :func:`solve_item` per job and land in the same memo cache.
-    Screened (huge) items fall back to the per-job screened path — GEMM
-    stacking would materialise the O(q^2) Gram the screen exists to
-    avoid.
+    per target per round, and a single job is a batch of one.  Results
+    land in the memo cache.  Screened (huge) items solve one job at a
+    time through :func:`_screened_selection` — GEMM stacking would
+    materialise the O(q^2) Gram the screen exists to avoid.
     """
     timer = timer if timer is not None else StageTimer()
     block = artifacts.base_block()
     results: list[RegressionSelection | None] = [None] * len(jobs)
-    misses: list[tuple[int, tuple, np.ndarray, tuple]] = []
+    # Misses sharing a target (and lam) share one pursuit, one rounding
+    # pass and one evaluator: the evaluator depends only on (tau, gamma,
+    # lam), all pinned by the group key, so only the budget-prefix scans
+    # stay per request.
+    groups: dict[tuple, list[tuple[int, tuple, int]]] = {}
+    problems: list[tuple[np.ndarray, CountsEvaluator]] = []
     for index, (tau, gamma, config) in enumerate(jobs):
         target = concat_scaled((1.0, tau), (config.lam, gamma))
-        key = ("item", config.max_reviews, exact, target.tobytes())
+        key = ("item", config.max_reviews, target.tobytes())
         hit = artifacts.peek(key)
         if hit is not None:
             results[index] = hit
-        else:
-            misses.append((index, key, target, (tau, gamma, config)))
-    if not misses:
+            continue
+        members = groups.setdefault((key[2], config.lam), [])
+        if not members:
+            evaluator = CountsEvaluator(artifacts, block, tau, gamma, config.lam)
+            problems.append((target, evaluator))
+        members.append((index, key, config.max_reviews))
+    if not problems:
         return results  # type: ignore[return-value]
 
-    if _screen_active(artifacts.screen, block.num_groups, exact):
-        for index, _, _, (tau, gamma, config) in misses:
-            results[index] = solve_item(
-                artifacts, tau, gamma, config, timer=timer, exact=exact
-            )
+    if _screen_active(artifacts.screen, block.num_groups):
+        for (target, evaluator), members in zip(problems, groups.values()):
+            for index, key, budget in members:
+                results[index] = artifacts.cached_solve(
+                    key,
+                    lambda: _screened_selection(
+                        block, 0, target, budget, evaluator.item_value, timer
+                    ),
+                )
         return results  # type: ignore[return-value]
 
     with timer.stage("gram"):
         gram = block.gram(0)
         stacked = block.stacked(0)
     with timer.stage("pursuit"):
-        targets = [np.asarray(target, dtype=float) for _, _, target, _ in misses]
-        bs = [stacked.T @ target for target in targets]
-        budgets = [config.max_reviews for _, _, _, (_, _, config) in misses]
-        paths = batch_omp_many(gram, bs, budgets, stacked, targets, exact=exact)
-    # Misses sharing a target dedup'd onto one leader pursuit above; their
-    # rounding + evaluation shares one apportionment table per step too
-    # (the evaluator depends only on (tau, gamma, lam), all pinned by the
-    # group key), so only the budget-prefix scans stay per request.
-    groups: dict[tuple, list[int]] = {}
-    for position, (_, _, target, (_, _, config)) in enumerate(misses):
-        groups.setdefault((target.tobytes(), config.lam), []).append(position)
-    for members in groups.values():
-        budgets_of = [misses[position][3][2].max_reviews for position in members]
-        leader = members[int(np.argmax(budgets_of))]
-        tau, gamma, config = misses[leader][3]
-        evaluator = CountsEvaluator(artifacts, block, tau, gamma, config.lam)
-        by_budget = _shared_path_selections(
-            block, paths[leader], budgets_of, evaluator.item_value, timer
+        targets = [target for target, _ in problems]
+        paths = batch_omp_many(
+            gram,
+            [stacked.T @ target for target in targets],
+            [max(budget for _, _, budget in group) for group in groups.values()],
+            stacked,
+            targets,
         )
-        for position, budget in zip(members, budgets_of):
-            index, key = misses[position][0], misses[position][1]
-            selection = by_budget[budget]
-            results[index] = artifacts.cached_solve(key, lambda s=selection: s)
+    for (_, evaluator), members, path in zip(problems, groups.values(), paths):
+        by_budget = _shared_path_selections(
+            block, path, [budget for _, _, budget in members],
+            evaluator.item_value, timer,
+        )
+        for index, key, budget in members:
+            results[index] = artifacts.cached_solve(key, lambda s=by_budget[budget]: s)
     return results  # type: ignore[return-value]
 
 
@@ -1638,24 +1435,26 @@ def solve_plus_item_many(
     jobs: Sequence[tuple],
     *,
     timer: StageTimer | None = None,
-    exact: bool = True,
 ) -> list[tuple[int, ...]]:
-    """Many Algorithm-1 inner iterations for one item, GEMM-stacked.
+    """Algorithm-1 inner iterations for one item, GEMM-stacked.
 
-    Each job is ``(tau, gamma, other_phis, config, current, literal)``;
-    the return mirrors :func:`solve_plus_item` per job (the improved
-    selection, or ``current``).  Candidate solves are grouped by the
-    Gram block they pose against — jobs may mix ``mu`` values, sync
-    counts, and the literal flag — and each group's cache misses run
-    through one :func:`batch_omp_many` call.  Byte-identical to the
-    sequential calls, same memo cache.
+    Each job is ``(tau, gamma, other_phis, config, current, literal)``,
+    and its result is the improved selection, or ``current`` when the
+    regression candidate does not strictly improve the acceptance score.
+    With no other items the sync row block vanishes and the solve runs on
+    the CompaReSetS base block, exactly like ``regression_columns(...,
+    sync_blocks=0)`` does in the reference.  Candidate solves are grouped
+    by the Gram block they pose against — jobs may mix ``mu`` values,
+    sync counts, and the literal flag — and each group's cache misses run
+    through one :func:`batch_omp_many` call (screened blocks through
+    :func:`_screened_selection`, one job at a time).
     """
     timer = timer if timer is not None else StageTimer()
     entries = []
     grouped: dict[tuple[int, int], list[int]] = {}
     for index, (tau, gamma, other_phis, config, current, literal) in enumerate(jobs):
         block, sync_blocks, target, key, evaluate = _plus_problem(
-            artifacts, tau, gamma, other_phis, config, literal, exact, timer
+            artifacts, tau, gamma, other_phis, config, literal, timer
         )
         candidate = artifacts.peek(key)
         entries.append(
@@ -1668,14 +1467,13 @@ def solve_plus_item_many(
     for group in grouped.values():
         block = entries[group[0]][1]
         sync_blocks = entries[group[0]][2]
-        if _screen_active(artifacts.screen, block.num_groups, exact):
+        if _screen_active(artifacts.screen, block.num_groups):
             for position in group:
                 entry = entries[position]
                 entry[8] = artifacts.cached_solve(
                     entry[7],
-                    lambda e=entry: _run_regression(
-                        e[1], e[2], e[3], e[4].max_reviews, e[6], timer,
-                        exact=exact, screen=artifacts.screen,
+                    lambda e=entry: _screened_selection(
+                        e[1], e[2], e[3], e[4].max_reviews, e[6], timer
                     ),
                 )
             continue
@@ -1683,10 +1481,10 @@ def solve_plus_item_many(
             gram = block.gram(sync_blocks)
             stacked = block.stacked(sync_blocks)
         with timer.stage("pursuit"):
-            targets = [np.asarray(entries[p][3], dtype=float) for p in group]
+            targets = [entries[position][3] for position in group]
             bs = [stacked.T @ target for target in targets]
             budgets = [entries[position][4].max_reviews for position in group]
-            paths = batch_omp_many(gram, bs, budgets, stacked, targets, exact=exact)
+            paths = batch_omp_many(gram, bs, budgets, stacked, targets)
         for position, path in zip(group, paths):
             entry = entries[position]
             budget = entry[4].max_reviews

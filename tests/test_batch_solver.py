@@ -2,9 +2,9 @@
 
 Two contracts are pinned here.  First, the multi-RHS kernel
 (``batch_omp_many`` and the ``select_many`` driver above it) must be
-byte-identical in exact mode to solving every request alone through
-``batch_omp_path`` / the sequential selectors — across schemes, mixed
-(m, mu, sweeps, variant) parameter batches, duplicate-heavy and
+byte-identical to the scipy-nnls reference — ``nomp_path`` per pursuit
+and the ``use_kernel=False`` selectors per request — across schemes,
+mixed (m, mu, sweeps, variant) parameter batches, duplicate-heavy and
 zero-column instances.  Second, the large-N candidate pre-screen must
 preserve the exact OMP support: the provable mode bitwise, up to
 N = 10k columns, against the unscreened pursuit.
@@ -28,9 +28,7 @@ from repro.core.omp_kernel import (
     _screen_active,
     _screened_omp_path,
     batch_omp_many,
-    batch_omp_path,
-    solve_item,
-    solve_plus_item,
+    solve_item_many,
 )
 from repro.core.problem import SelectionConfig
 from repro.core.selection import build_space
@@ -84,11 +82,9 @@ class TestBatchOmpMany:
         unique = deduplicate_columns(matrix).matrix
         gram = unique.T @ unique
         bs = [unique.T @ target for target in targets]
-        many = batch_omp_many(gram, bs, budgets, unique, targets, exact=True)
+        many = batch_omp_many(gram, bs, budgets, unique, targets)
         for index, target in enumerate(targets):
-            alone = batch_omp_path(
-                gram, bs[index], budgets[index], unique, target, exact=True
-            )
+            alone = nomp_path(unique, target, budgets[index])
             _assert_paths_bitwise(many[index], alone)
 
     def test_duplicate_targets_slice_the_leader_path(self):
@@ -102,7 +98,7 @@ class TestBatchOmpMany:
             gram, [b, b, b], [2, 5, 1], unique, [target, target, target]
         )
         for budget, path in zip([2, 5, 1], many):
-            alone = batch_omp_path(gram, b, budget, unique, target)
+            alone = nomp_path(unique, target, budget)
             _assert_paths_bitwise(path, alone)
         # The budget-2 path is a prefix of the budget-5 path (OMP is greedy).
         _assert_paths_bitwise(many[0], many[1][:2])
@@ -123,21 +119,6 @@ class TestBatchOmpMany:
         with pytest.raises(ValueError):
             batch_omp_many(gram, [b, b], [1], one, [np.ones(3)])
 
-    def test_fast_mode_stays_feasible(self):
-        """exact=False keeps the fast path's caveat: ties may break
-        differently, but every path must stay a valid NOMP path."""
-        rng = np.random.default_rng(5)
-        matrix = (rng.random((12, 9)) < 0.4).astype(float)
-        unique = deduplicate_columns(matrix).matrix
-        targets = [rng.random(12) * 2 for _ in range(3)]
-        gram = unique.T @ unique
-        bs = [unique.T @ target for target in targets]
-        many = batch_omp_many(gram, bs, [5, 3, 4], unique, targets, exact=False)
-        for path in many:
-            for step, x in enumerate(path):
-                assert np.all(x >= 0)
-                assert len(np.flatnonzero(x)) <= step + 1
-
 
 def _mixed_jobs() -> list[BatchJob]:
     return [
@@ -156,7 +137,7 @@ def _mixed_jobs() -> list[BatchJob]:
 
 
 def _sequential_reference(instance, job, scheme):
-    """One job solved alone, with fresh artifacts so the memo cannot help."""
+    """One job solved alone by the scipy-nnls reference selector."""
     config = SelectionConfig(
         max_reviews=job.config.max_reviews,
         lam=job.config.lam,
@@ -165,8 +146,44 @@ def _sequential_reference(instance, job, scheme):
         sweeps=job.config.sweeps,
     )
     if job.algorithm == "CompaReSetS":
-        return CompareSetsSelector().select(instance, config)
-    return CompareSetsPlusSelector(variant=job.variant).select(instance, config)
+        return CompareSetsSelector(use_kernel=False).select(instance, config)
+    return CompareSetsPlusSelector(variant=job.variant, use_kernel=False).select(
+        instance, config
+    )
+
+
+@st.composite
+def random_batch(draw):
+    """A small random instance and a 1-5 job batch of mixed parameters."""
+    scheme = draw(st.sampled_from(list(OpinionScheme)))
+    instance = random_instance(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        num_items=draw(st.integers(1, 4)),
+        max_reviews=10,
+        duplicate_heavy=draw(st.booleans()),
+        mention_free_rate=draw(st.sampled_from([0.0, 0.15, 0.5])),
+    )
+    jobs = draw(
+        st.lists(
+            st.builds(
+                lambda algorithm, m, mu, sweeps, variant: BatchJob(
+                    algorithm,
+                    SelectionConfig(
+                        max_reviews=m, mu=mu, scheme=scheme, sweeps=sweeps
+                    ),
+                    variant=variant,
+                ),
+                st.sampled_from(sorted(BATCHABLE_ALGORITHMS)),
+                st.integers(1, 8),
+                st.sampled_from([0.0, 0.1, 0.5]),
+                st.integers(1, 2),
+                st.sampled_from(["literal", "weighted"]),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return instance, jobs, scheme
 
 
 class TestSelectMany:
@@ -204,6 +221,28 @@ class TestSelectMany:
                 reference = _sequential_reference(instance, job, scheme)
                 assert result.selections == reference.selections
                 assert result.algorithm == job.algorithm
+
+    @settings(max_examples=50, deadline=None)
+    @given(random_batch(), st.booleans())
+    def test_random_batches_match_reference(self, batch, prebuilt):
+        """Any batch, job by job, equals the scipy-nnls reference selectors."""
+        instance, jobs, scheme = batch
+        space = build_space(instance, jobs[0].config)
+        artifacts = (
+            tuple(
+                SolverArtifacts(space, reviews, jobs[0].config.lam)
+                for reviews in instance.reviews
+            )
+            if prebuilt
+            else None
+        )
+        results = select_many(
+            instance, jobs, space=space, solver_artifacts=artifacts
+        )
+        for job, result in zip(jobs, results):
+            reference = _sequential_reference(instance, job, scheme)
+            assert result.selections == reference.selections, job
+            assert result.algorithm == job.algorithm
 
     def test_zero_column_instance(self):
         rng = np.random.default_rng(7)
@@ -282,44 +321,6 @@ class TestSelectMany:
         assert "CompaReSetS" in BATCHABLE_ALGORITHMS
 
 
-class TestSolveManyDispatcher:
-    def test_mixed_kinds_match_single_solves(self):
-        rng = np.random.default_rng(17)
-        instance = random_instance(rng, num_items=3, max_reviews=8)
-        config = SelectionConfig()
-        space = build_space(instance, config)
-        gamma = space.aspect_vector(instance.reviews[0])
-        tau = space.opinion_vector(instance.reviews[0])
-        other_phis = [
-            space.aspect_vector(reviews) for reviews in instance.reviews[1:]
-        ]
-        batched = SolverArtifacts(space, instance.reviews[0], config.lam)
-        jobs = [
-            ("item", tau, gamma, config),
-            ("plus", tau, gamma, other_phis, config, (), True),
-            ("item", tau, gamma, SelectionConfig(max_reviews=5)),
-        ]
-        results = batched.solve_many(jobs)
-        fresh = SolverArtifacts(space, instance.reviews[0], config.lam)
-        assert results[0].selected == solve_item(fresh, tau, gamma, config).selected
-        assert results[1] == solve_plus_item(
-            fresh, tau, gamma, other_phis, config, current=(), literal=True
-        )
-        assert (
-            results[2].selected
-            == solve_item(fresh, tau, gamma, SelectionConfig(max_reviews=5)).selected
-        )
-
-    def test_unknown_kind_rejected(self):
-        rng = np.random.default_rng(2)
-        instance = random_instance(rng, num_items=1)
-        config = SelectionConfig()
-        space = build_space(instance, config)
-        artifacts = SolverArtifacts(space, instance.reviews[0], config.lam)
-        with pytest.raises(ValueError, match="job kind"):
-            artifacts.solve_many([("bogus",)])
-
-
 def _wide_problem(seed: int, columns: int, rows: int = 24):
     """A dedup-free nonnegative incidence-like pursuit problem."""
     rng = np.random.default_rng(seed)
@@ -331,12 +332,10 @@ def _wide_problem(seed: int, columns: int, rows: int = 24):
 
 class TestPreScreen:
     def test_screen_active_gating(self):
-        assert not _screen_active("off", 10**6, True)
-        assert not _screen_active("provable", 10**6, False)  # exact mode only
-        assert not _screen_active("auto", 2047, True)
-        assert _screen_active("auto", 2048, True)
-        assert _screen_active("provable", 3, True)
-        assert _screen_active("empirical", 3, True)
+        assert not _screen_active("off", 10**6)
+        assert not _screen_active("auto", 2047)
+        assert _screen_active("auto", 2048)
+        assert _screen_active("provable", 3)
 
     def test_invalid_mode_rejected(self):
         rng = np.random.default_rng(1)
@@ -353,16 +352,13 @@ class TestPreScreen:
         stacked, target = _wide_problem(seed, columns=900)
         assert stacked.shape[1] > _SCREEN_KEEP_MIN  # pruning is real
         budget = 12
-        gram = stacked.T @ stacked
-        b = stacked.T @ target
-        reference = batch_omp_path(gram, b, budget, stacked, target, exact=True)
+        reference = nomp_path(stacked, target, budget)
         timer = StageTimer()
         screened = _screened_omp_path(
             stacked,
             target,
             budget,
             np.linalg.norm(stacked, axis=0),
-            empirical=False,
             nonneg=True,
             timer=timer,
         )
@@ -378,15 +374,12 @@ class TestPreScreen:
     )
     def test_support_preservation_property(self, seed, columns, budget):
         stacked, target = _wide_problem(seed, columns=columns)
-        gram = stacked.T @ stacked
-        b = stacked.T @ target
-        reference = batch_omp_path(gram, b, budget, stacked, target, exact=True)
+        reference = nomp_path(stacked, target, budget)
         screened = _screened_omp_path(
             stacked,
             target,
             budget,
             np.linalg.norm(stacked, axis=0),
-            empirical=False,
             nonneg=True,
             timer=StageTimer(),
         )
@@ -395,60 +388,19 @@ class TestPreScreen:
     def test_support_preservation_at_ten_thousand_columns(self):
         stacked, target = _wide_problem(99, columns=10_000, rows=32)
         budget = 6
-        # The Gram-free naive reference (O(q D) per round) stands in for
-        # batch_omp_path, whose O(q^2) Gram is the very cost the screen
-        # avoids; the kernel is pinned bitwise to nomp_path elsewhere.
         reference = nomp_path(stacked, target, budget)
         screened = _screened_omp_path(
             stacked,
             target,
             budget,
             np.linalg.norm(stacked, axis=0),
-            empirical=False,
             nonneg=True,
             timer=StageTimer(),
         )
         _assert_paths_bitwise(screened, reference)
 
-    def test_empirical_mode_smoke(self):
-        """``screen="empirical"`` has no certificate: it preserves the
-        support on benign inputs but only promises a *valid* pursuit path
-        (non-negative coefficients, support growing one atom a step)."""
-        stacked, target = _wide_problem(5, columns=700)
-        budget = 4
-        gram = stacked.T @ stacked
-        b = stacked.T @ target
-        reference = batch_omp_path(gram, b, budget, stacked, target, exact=True)
-        screened = _screened_omp_path(
-            stacked,
-            target,
-            budget,
-            np.linalg.norm(stacked, axis=0),
-            empirical=True,
-            nonneg=True,
-            timer=StageTimer(),
-        )
-        for mine, ref in zip(screened, reference):
-            assert np.array_equal(mine, ref)
-        # An adversarial target where empirical does diverge: the path
-        # must still be structurally sound.
-        stacked, target = _wide_problem(0, columns=700)
-        path = _screened_omp_path(
-            stacked,
-            target,
-            10,
-            np.linalg.norm(stacked, axis=0),
-            empirical=True,
-            nonneg=True,
-            timer=StageTimer(),
-        )
-        assert 0 < len(path) <= 10
-        for step, x in enumerate(path):
-            assert np.all(x >= 0)
-            assert len(np.flatnonzero(x)) <= step + 1
-
     def test_artifacts_screen_matches_off(self):
-        """End-to-end through solve_item: provable screen == no screen."""
+        """End-to-end through solve_item_many: provable screen == no screen."""
         rng = np.random.default_rng(31)
         instance = random_instance(rng, num_items=1, max_reviews=400)
         config = SelectionConfig(max_reviews=3)
@@ -459,8 +411,8 @@ class TestPreScreen:
         plain = SolverArtifacts(space, reviews, config.lam, screen="off")
         screened = SolverArtifacts(space, reviews, config.lam, screen="provable")
         timer = StageTimer()
-        ours = solve_item(screened, tau, gamma, config, timer=timer)
-        reference = solve_item(plain, tau, gamma, config)
+        [ours] = solve_item_many(screened, [(tau, gamma, config)], timer=timer)
+        [reference] = solve_item_many(plain, [(tau, gamma, config)])
         assert ours.selected == reference.selected
         assert ours.objective == reference.objective
         if screened.base_block().num_groups > _SCREEN_KEEP_MIN:

@@ -1,10 +1,10 @@
 """Equivalence harness: the Batch-OMP kernel vs the scipy-nnls reference.
 
-The kernel's contract is *byte-identical selections* in exact mode: every
-test here pits ``use_kernel=True`` (or the kernel primitives) against the
-original reference path on randomised instances across all three opinion
-schemes, plus the degenerate shapes the issue calls out (zero columns,
-duplicate-heavy items, m exceeding the unique-column count).
+The kernel's contract is *byte-identical selections*: every test here
+pits ``use_kernel=True`` (or the kernel primitives) against the original
+reference path on randomised instances across all three opinion schemes,
+plus degenerate shapes (zero columns, duplicate-heavy items, m exceeding
+the unique-column or the review count).
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from repro.core.omp_kernel import (
     CountsEvaluator,
     SolverArtifacts,
     StageTimer,
-    batch_omp_path,
+    batch_omp_many,
     round_path,
-    solve_item,
+    solve_item_many,
 )
 from repro.core.problem import SelectionConfig
 from repro.core.selection import build_space
@@ -174,6 +174,46 @@ class TestDegenerateShapes:
         assert kernel.selections == reference.selections
 
 
+class TestBudgetBeyondReviews:
+    """A budget far above every item's review count rounds at that count.
+
+    A total above the review count hands out every unit of capacity, so
+    it ties the review-count total and the strict scan never picks it:
+    the kernel may stop rounding there and still equal the reference,
+    which rounds every total up to m.
+    """
+
+    def test_matches_reference_and_rounds_at_review_count(self, monkeypatch):
+        import repro.core.omp_kernel as kernel_module
+
+        rounded: list[tuple[int, int]] = []
+        real_round_path = kernel_module.round_path
+
+        def spy(path, capacities, groups, budgets):
+            rounded.append((max(budgets, default=0), int(capacities.sum())))
+            return real_round_path(path, capacities, groups, budgets)
+
+        monkeypatch.setattr(kernel_module, "round_path", spy)
+        for seed in range(3):
+            rng = np.random.default_rng(300 + seed)
+            instance = random_instance(rng, duplicate_heavy=seed % 2 == 1)
+            assert max(len(reviews) for reviews in instance.reviews) <= 8
+            config = SelectionConfig(max_reviews=100, sweeps=2)
+            for kernel, reference in (
+                (CompareSetsSelector(), CompareSetsSelector(use_kernel=False)),
+                (
+                    CompareSetsPlusSelector(),
+                    CompareSetsPlusSelector(use_kernel=False),
+                ),
+            ):
+                assert (
+                    kernel.select(instance, config).selections
+                    == reference.select(instance, config).selections
+                ), seed
+        assert rounded
+        assert all(total <= reviews for total, reviews in rounded)
+
+
 @st.composite
 def pursuit_problem(draw):
     """A deduplicated incidence-like matrix, a target, and a budget."""
@@ -201,6 +241,8 @@ def pursuit_problem(draw):
 
 
 class TestBatchOmpPath:
+    """A single pursuit is ``batch_omp_many``'s batch of one."""
+
     @settings(max_examples=60, deadline=None)
     @given(pursuit_problem())
     def test_exact_mode_bitwise_matches_nomp_path(self, problem):
@@ -209,36 +251,26 @@ class TestBatchOmpPath:
         reference = nomp_path(unique, target, budget)
         gram = unique.T @ unique
         b = unique.T @ target.astype(float)
-        kernel = batch_omp_path(gram, b, budget, unique, target, exact=True)
+        [kernel] = batch_omp_many(gram, [b], [budget], unique, [target])
         assert len(kernel) == len(reference)
         for ours, theirs in zip(kernel, reference):
             assert np.array_equal(ours, theirs)
 
     def test_empty_and_zero_budget(self):
         empty = np.zeros((3, 0))
-        assert batch_omp_path(np.zeros((0, 0)), np.zeros(0), 3, empty, np.zeros(3)) == []
+        assert batch_omp_many(
+            np.zeros((0, 0)), [np.zeros(0)], [3], empty, [np.zeros(3)]
+        ) == [[]]
         one = np.ones((3, 1))
         gram = one.T @ one
         b = one.T @ np.ones(3)
-        assert batch_omp_path(gram, b, 0, one, np.ones(3)) == []
+        assert batch_omp_many(gram, [b], [0], one, [np.ones(3)]) == [[]]
 
     def test_rejects_non_square_gram(self):
         with pytest.raises(ValueError):
-            batch_omp_path(np.zeros((2, 3)), np.zeros(3), 1, np.zeros((4, 3)), np.zeros(4))
-
-    def test_fast_mode_stays_feasible(self):
-        """exact=False may tie-break differently but must stay a valid NOMP
-        path: non-negative coefficients, support growing one atom a step."""
-        rng = np.random.default_rng(5)
-        matrix = (rng.random((12, 9)) < 0.4).astype(float)
-        unique = deduplicate_columns(matrix).matrix
-        target = rng.random(12) * 2
-        gram = unique.T @ unique
-        b = unique.T @ target
-        path = batch_omp_path(gram, b, 5, unique, target, exact=False)
-        for step, x in enumerate(path):
-            assert np.all(x >= 0)
-            assert len(np.flatnonzero(x)) <= step + 1
+            batch_omp_many(
+                np.zeros((2, 3)), [np.zeros(3)], [1], np.zeros((4, 3)), [np.zeros(4)]
+            )
 
 
 def build_path(
@@ -384,9 +416,10 @@ class TestSolverArtifacts:
         shared = SolverArtifacts(space, reviews, config.lam)
         for m in (1, 2, 4):
             budget_config = config.with_(max_reviews=m)
-            reused = solve_item(shared, tau, gamma, budget_config)
-            fresh = solve_item(
-                SolverArtifacts(space, reviews, config.lam), tau, gamma, budget_config
+            [reused] = solve_item_many(shared, [(tau, gamma, budget_config)])
+            [fresh] = solve_item_many(
+                SolverArtifacts(space, reviews, config.lam),
+                [(tau, gamma, budget_config)],
             )
             assert reused.selected == fresh.selected
             assert reused.objective == fresh.objective

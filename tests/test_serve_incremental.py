@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.omp_kernel import GramBlock, SolverArtifacts, StageTimer, solve_item
+from repro.core.omp_kernel import GramBlock, StageTimer, solve_item_many
 from repro.core.problem import SelectionConfig
 from repro.core.vectors import OpinionScheme
 from repro.data.corpus import Corpus
@@ -121,11 +121,12 @@ class TestDeltaConvergence:
             cold = cold_store.artifacts(target, config, min_reviews=1)
             _assert_artifacts_equal(patched, cold)
             for index in range(len(patched.solver)):
-                warm = solve_item(
-                    patched.solver[index], patched.taus[index], patched.gamma, config
+                [warm] = solve_item_many(
+                    patched.solver[index],
+                    [(patched.taus[index], patched.gamma, config)],
                 )
-                fresh = solve_item(
-                    cold.solver[index], cold.taus[index], cold.gamma, config
+                [fresh] = solve_item_many(
+                    cold.solver[index], [(cold.taus[index], cold.gamma, config)]
                 )
                 assert warm.selected == fresh.selected, scheme
                 assert warm.objective == fresh.objective, scheme
