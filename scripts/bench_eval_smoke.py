@@ -43,10 +43,23 @@ def synthetic_results(limit=6):
     return results
 
 
+def long_review(length, words=("the", "battery", "screen", "is", "great", "poor")):
+    """``length`` tokens cycling through ``words``."""
+    return " ".join(words[i % len(words)] for i in range(length))
+
+
 def check_grid_edges():
+    # Reviews of 64+ tokens take several words of LCS state; a repeated
+    # word against long mixed reviews makes the addition carry across them,
+    # and "screen the" against 64 "the", 64 "poor", "screen" carries through
+    # a whole unmatched word.
     groups = [
-        ["", "battery", "battery battery", "the screen is great", "café 好 café"],
-        ["great great screen", "", "don't don't", "the the the battery the"],
+        ["", "battery", "battery battery", "the screen is great", "café 好 café",
+         long_review(129, ("battery",)), long_review(64), long_review(128),
+         "screen the"],
+        ["great great screen", "", "don't don't", "the the the battery the",
+         long_review(65), long_review(129), long_review(128, ("battery", "the")),
+         long_review(64, ("great",)), "the " * 64 + "poor " * 64 + "screen"],
     ]
     interner = CorpusInterner()
     grid = pairwise_alignment_matrix(groups[0], groups[1], interner=interner)

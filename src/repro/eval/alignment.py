@@ -13,9 +13,10 @@ multiplied by 100 (done in the reporting layer).
 
 Scoring runs on the interned-token ROUGE kernel
 (:mod:`repro.text.rouge_kernel`) by default: an :class:`AlignmentScorer`
-owns a corpus-level interner, scores each cross-item review-pair grid in
-one vectorised call, and accumulates the per-pair F1 values in exactly
-the reference order, so every :class:`AlignmentScores` is bitwise equal
+owns a corpus-level interner, scores exactly the cross-item review pairs
+the requested views sum in one kernel call per result, and accumulates
+the per-pair F1 values in exactly the reference order, so every
+:class:`AlignmentScores` is bitwise equal
 to the pure-Python path (``AlignmentScorer(use_kernel=False)``, kept as
 the checkable reference).  Both paths tokenise each distinct review text
 once per interner, however many pairs or views it appears in.
@@ -23,8 +24,11 @@ once per interner, however many pairs or views it appears in.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from collections.abc import Sequence
+from itertools import accumulate
+
+import numpy as np
 
 from repro.core.selection import SelectionResult
 from repro.text.rouge import rouge_l, rouge_n
@@ -73,14 +77,42 @@ def _pair_scores(
     return total_1, total_2, total_l, pairs
 
 
+def _view_sums(
+    num_items: int,
+    views: tuple[str, ...],
+    block_sums: Callable[[int, int], tuple[float, float, float, int]],
+) -> dict[str, tuple[float, float, float, int]]:
+    """Add each item pair's block sums to the views that count it.
+
+    Item pairs (i, j), i < j, run in the reference order; the target view
+    counts only i = 0, so pairs with i > 0 are skipped unless the among
+    view is asked for.
+    """
+    sums = {view: [0.0, 0.0, 0.0, 0] for view in views}
+    first_items = range(num_items - 1) if "among" in views else range(1)
+    for i in first_items:
+        for j in range(i + 1, num_items):
+            s1, s2, sl, count = block_sums(i, j)
+            for view in views:
+                if view == "target" and i != 0:
+                    continue
+                totals = sums[view]
+                totals[0] += s1
+                totals[1] += s2
+                totals[2] += sl
+                totals[3] += count
+    return {view: tuple(totals) for view, totals in sums.items()}
+
+
 class AlignmentScorer:
     """Batched alignment scoring with a shared corpus interner.
 
     One scorer should live per corpus/experiment: review texts are
     interned (and tokenised) once and reused across results, budgets,
-    algorithms, and both views.  ``use_kernel=False`` selects the
-    pure-Python reference path (same memoised token lists) for
-    equivalence checks and benchmarks.
+    algorithms, and both views; each result costs one masked
+    :func:`~repro.text.rouge_kernel.rouge_pair_grid` call.
+    ``use_kernel=False`` selects the pure-Python reference path (same
+    memoised token lists) for equivalence checks and benchmarks.
     """
 
     def __init__(
@@ -127,75 +159,37 @@ class AlignmentScorer:
     def _kernel_view_sums(
         self, groups: list[list[InternedText]], views: tuple[str, ...]
     ) -> dict[str, tuple[float, float, float, int]]:
-        """Per-view F1 sums from one batched grid computation.
+        """Per-view F1 sums from one kernel call per result.
 
-        The "target" view alone scores the target group against the
-        flattened comparative reviews (one kernel call); anything needing
-        the among view scores the full flattened cross product once and
-        slices per item-pair blocks out of it.
+        The flattened reviews are scored against themselves, but only at
+        the pairs (a in item i, b in item j, i < j) the views sum, with
+        i = 0 alone when only the target view is asked for; each item
+        pair's block is then summed in the reference order.
         """
-        offsets = [0]
-        for group in groups:
-            offsets.append(offsets[-1] + len(group))
+        offsets = [0, *accumulate(len(group) for group in groups)]
+        item = np.repeat(np.arange(len(groups)), np.diff(offsets))
+        pairs = item[:, None] < item[None, :]
+        if "among" not in views:
+            pairs &= (item == 0)[:, None]
         flat = [interned for group in groups for interned in group]
+        grid = rouge_pair_grid(flat, flat, pairs=pairs)
 
-        if views == ("target",):
-            grid = rouge_pair_grid(groups[0], flat[offsets[1] :])
-            total_1 = total_2 = total_l = 0.0
-            pairs = 0
-            for j in range(1, len(groups)):
-                lo, hi = offsets[j] - offsets[1], offsets[j + 1] - offsets[1]
-                s1, s2, sl, count = self._block_sums(
-                    (
-                        grid.rouge_1[:, lo:hi],
-                        grid.rouge_2[:, lo:hi],
-                        grid.rouge_l[:, lo:hi],
-                    )
-                )
-                total_1 += s1
-                total_2 += s2
-                total_l += sl
-                pairs += count
-            return {"target": (total_1, total_2, total_l, pairs)}
+        def block_sums(i: int, j: int) -> tuple[float, float, float, int]:
+            rows = slice(offsets[i], offsets[i + 1])
+            cols = slice(offsets[j], offsets[j + 1])
+            return self._block_sums(
+                (grid.rouge_1[rows, cols], grid.rouge_2[rows, cols], grid.rouge_l[rows, cols])
+            )
 
-        grid = rouge_pair_grid(flat, flat)
-        sums = {view: [0.0, 0.0, 0.0, 0] for view in views}
-        for i in range(len(groups) - 1):
-            for j in range(i + 1, len(groups)):
-                block = (
-                    grid.rouge_1[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]],
-                    grid.rouge_2[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]],
-                    grid.rouge_l[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]],
-                )
-                s1, s2, sl, count = self._block_sums(block)
-                for view in views:
-                    if view == "target" and i != 0:
-                        continue
-                    totals = sums[view]
-                    totals[0] += s1
-                    totals[1] += s2
-                    totals[2] += sl
-                    totals[3] += count
-        return {view: tuple(totals) for view, totals in sums.items()}
+        return _view_sums(len(groups), views, block_sums)
 
     def _reference_view_sums(
         self, groups: list[list[list[str]]], views: tuple[str, ...]
     ) -> dict[str, tuple[float, float, float, int]]:
         """Pure-Python per-view sums (the original pair-loop semantics)."""
-        sums = {view: [0.0, 0.0, 0.0, 0] for view in views}
-        first_items = range(len(groups) - 1) if "among" in views else range(1)
-        for i in first_items:
-            for j in range(i + 1, len(groups)):
-                s1, s2, sl, count = _pair_scores(groups[i], groups[j])
-                for view in views:
-                    if view == "target" and i != 0:
-                        continue
-                    totals = sums[view]
-                    totals[0] += s1
-                    totals[1] += s2
-                    totals[2] += sl
-                    totals[3] += count
-        return {view: tuple(totals) for view, totals in sums.items()}
+        return _view_sums(
+            len(groups), views, lambda i, j: _pair_scores(groups[i], groups[j])
+        )
 
     def _score_views(
         self, result: SelectionResult, views: tuple[str, ...]

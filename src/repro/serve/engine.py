@@ -83,6 +83,10 @@ class EngineDraining(EngineClosed):
 
 _SCHEMES = {scheme.value: scheme for scheme in OpinionScheme}
 
+#: Registered selectors a request may not name: the brute force enumerates
+#: up to millions of subsets per item and would hold a worker for seconds.
+UNSERVED_ALGORITHMS = frozenset({"CompaReSetS_Exhaustive"})
+
 
 @dataclass(frozen=True, slots=True)
 class SelectRequest:
@@ -111,10 +115,11 @@ class SelectRequest:
             raise InvalidRequest(
                 f"unknown scheme {self.scheme!r}; one of {sorted(_SCHEMES)}"
             )
-        if self.algorithm not in SELECTORS:
+        if self.algorithm not in SELECTORS or self.algorithm in UNSERVED_ALGORITHMS:
+            problem = "unservable" if self.algorithm in SELECTORS else "unknown"
             raise InvalidRequest(
-                f"unknown algorithm {self.algorithm!r}; "
-                f"one of {sorted(SELECTORS)}"
+                f"{problem} algorithm {self.algorithm!r}; "
+                f"one of {sorted(SELECTORS.keys() - UNSERVED_ALGORITHMS)}"
             )
         if self.max_comparisons < 1:
             raise InvalidRequest(

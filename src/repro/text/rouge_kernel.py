@@ -12,11 +12,13 @@ clock.  This module makes the pair grid a handful of numpy operations:
 * ROUGE-1/2 — clipped n-gram matches via local-vocabulary count matrices
   (``np.searchsorted`` + ``np.bincount``) and a broadcast minimum-sum;
   bigrams are packed into int64 (``id_a << 32 | id_b``) before counting;
-* ROUGE-L — a rolling-row LCS DP where each row update is one vectorised
-  ``np.maximum`` + prefix-max over *all* references at once;
-* batch APIs — :func:`pairwise_alignment_matrix` scores a full |A| x |B|
-  review-pair grid in one call, :func:`rouge_scores_many` scores aligned
-  candidate/reference pairs.
+* ROUGE-L — a bit-parallel LCS (Allison & Dix 1986; Hyyrö 2004) that
+  advances every scored pair together, a few uint64 word operations per
+  candidate token;
+* batch APIs — :func:`rouge_pair_grid` scores an |A| x |B| review-pair
+  grid, or only the pairs of a given mask, in one call;
+  :func:`pairwise_alignment_matrix` scores a full grid of raw texts, and
+  :func:`rouge_scores_many` scores aligned candidate/reference pairs.
 
 Exactness guarantee (same pattern as :mod:`repro.core.omp_kernel`): the
 kernel computes the *same integers* (clipped matches, n-gram totals, LCS
@@ -47,7 +49,7 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 class InternedText:
     """One text as interned unigram ids and packed bigram ids.
 
-    ``ids`` keeps document order (needed for the LCS DP); ``bigrams``
+    ``ids`` keeps document order (needed for the LCS); ``bigrams``
     packs consecutive id pairs into int64 (high word = left token), so
     bigram counting reuses the unigram machinery.  Arrays are shared and
     must not be mutated.
@@ -203,41 +205,81 @@ def _clipped_match_grid(
     return matches, totals_a, totals_b
 
 
-def _lcs_row_grid(a_ids: np.ndarray, b_padded: np.ndarray, b_lengths: np.ndarray) -> np.ndarray:
-    """LCS lengths of one candidate against every reference at once.
+def _spans(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, position) of every element of sequences laid end to end."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    position = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return owner, position
 
-    Rolling-row DP over the candidate's tokens; each row update is the
-    prefix-max formulation of the LCS recurrence
-    ``cur[j] = max(prev[j], prev[j-1] + eq, cur[j-1])``, which vectorises
-    as an elementwise maximum followed by ``np.maximum.accumulate``.
-    ``b_padded`` rows are padded with -1 (never a valid id).
+
+def _lcs_pairs(
+    ids_a: Sequence[np.ndarray], ids_b: Sequence[np.ndarray], rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """LCS length of ``ids_a[rows[p]]`` against ``ids_b[cols[p]]`` for every p.
+
+    Bit-parallel LCS (Allison & Dix 1986; Hyyrö 2004): bit j of a pair's
+    state ``V`` is position j of the reference; with ``M`` the positions
+    holding the candidate's next token, a step is ``V <- (V + (V & M)) |
+    (V & ~M)`` from all ones, and the LCS is the count of zero bits (bits
+    past the reference's end never match, so stay one).  Pairs advance
+    together, longest candidate first, so the ones running are a prefix;
+    references over 64 tokens take several uint64 words, carrying from
+    word to word.  Bits stay uint64 (numpy < 2 turns uint64 with int64
+    into float64); the mask table covers only the candidates' tokens.
     """
-    num_refs, max_len = b_padded.shape
-    previous = np.zeros((num_refs, max_len + 1), dtype=np.int32)
-    current = np.zeros_like(previous)
-    for token in a_ids:
-        candidate = np.maximum(
-            previous[:, 1:],
-            np.where(b_padded == token, previous[:, :-1] + 1, 0),
-        )
-        np.maximum.accumulate(candidate, axis=1, out=current[:, 1:])
-        previous, current = current, previous
-    return previous[np.arange(num_refs), b_lengths]
-
-
-def _pad_ids(id_lists: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack variable-length id arrays into a -1-padded matrix."""
-    lengths = np.array([len(ids) for ids in id_lists], dtype=np.int64)
-    padded = np.full((len(id_lists), int(lengths.max(initial=0))), -1, dtype=np.int32)
-    for row, ids in enumerate(id_lists):
-        padded[row, : len(ids)] = ids
-    return padded, lengths
+    lengths_a = np.array([len(ids) for ids in ids_a], dtype=np.int64)
+    lengths_b = np.array([len(ids) for ids in ids_b], dtype=np.int64)
+    lcs = np.zeros(len(rows), dtype=np.int64)
+    live = np.flatnonzero((lengths_a[rows] > 0) & (lengths_b[cols] > 0))
+    if not len(live):
+        return lcs
+    live = live[np.argsort(-lengths_a[rows[live]], kind="stable")]
+    members, member_index = np.unique(rows[live], return_inverse=True)
+    refs, ref_index = np.unique(cols[live], return_inverse=True)
+    words = (int(lengths_b[refs].max()) + 63) // 64
+    # tokens[t, c]: candidate members[c]'s t-th token as an index into vocab.
+    owner, step = _spans(lengths_a[members])
+    vocab, token = np.unique(np.concatenate([ids_a[m] for m in members]), return_inverse=True)
+    tokens = np.zeros((int(lengths_a[members].max()), len(members)), dtype=np.intp)
+    tokens[step, owner] = token
+    # table[w, r * |vocab| + k]: word w of the mask where refs[r] holds vocab[k].
+    ref_tokens = np.concatenate([ids_b[ref] for ref in refs])
+    ref_row, position = _spans(lengths_b[refs])
+    column = np.searchsorted(vocab, ref_tokens).clip(max=len(vocab) - 1)
+    hit = vocab[column] == ref_tokens
+    table = np.zeros((words, len(refs) * len(vocab)), dtype=np.uint64)
+    np.bitwise_or.at(
+        table,
+        (position[hit] >> 6, ref_row[hit] * len(vocab) + column[hit]),
+        np.left_shift(np.uint64(1), (position[hit] & 63).astype(np.uint64)),
+    )
+    base = ref_index * len(vocab)
+    running = lengths_a[rows[live]]
+    state = np.full((words, len(live)), ~np.uint64(0), dtype=np.uint64)
+    for t, n in enumerate(np.searchsorted(-running, -np.arange(running[0])).tolist()):
+        v = state[:, :n]
+        u = v & np.take(table, base[:n] + tokens[t][member_index[:n]], axis=1)
+        total = v + u
+        if words > 1:
+            carry = total < v
+            for word in range(1, words):
+                total[word] += carry[word - 1]
+                carry[word] |= carry[word - 1] & (total[word] == 0)
+        state[:, :n] = total | (v ^ u)  # v ^ u == v & ~M, as u = v & M
+    # np.bitwise_count needs numpy 2: count the zero bits a byte at a time.
+    ones = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+    lcs[live] = ones[(~state).view(np.uint8)].reshape(words, -1, 8).sum(axis=(0, 2))
+    return lcs
 
 
 def rouge_pair_grid(
-    group_a: Sequence[InternedText], group_b: Sequence[InternedText]
+    group_a: Sequence[InternedText], group_b: Sequence[InternedText], *, pairs: np.ndarray | None = None
 ) -> RougeGrid:
-    """Score the full |A| x |B| cross product of two interned groups."""
+    """Score the |A| x |B| cross product of two interned groups.
+
+    ``pairs``, an (|A|, |B|) boolean mask, limits scoring to the pairs it
+    marks; every other entry of the three grids is 0.
+    """
     na, nb = len(group_a), len(group_b)
     if na == 0 or nb == 0:
         empty = np.zeros((na, nb), dtype=np.float64)
@@ -254,12 +296,14 @@ def rouge_pair_grid(
     )
     f1_2 = _f1_grid(m2, t2a, t2b)
 
-    b_padded, b_lengths = _pad_ids(ids_b)
+    scored = np.ones((na, nb), dtype=bool) if pairs is None else pairs
+    rows, cols = np.nonzero(scored)
     lcs = np.zeros((na, nb), dtype=np.int64)
-    for row, a_ids in enumerate(ids_a):
-        if len(a_ids):
-            lcs[row] = _lcs_row_grid(a_ids, b_padded, b_lengths)
+    lcs[rows, cols] = _lcs_pairs(ids_a, ids_b, rows, cols)
     f1_l = _f1_grid(lcs, t1a, t1b)
+    if pairs is not None:
+        f1_1 = np.where(pairs, f1_1, 0.0)
+        f1_2 = np.where(pairs, f1_2, 0.0)
 
     return RougeGrid(rouge_1=f1_1, rouge_2=f1_2, rouge_l=f1_l)
 
@@ -301,11 +345,8 @@ def _pair_counts(a: InternedText, b: InternedText) -> tuple[int, int, int]:
         )
         return int(np.minimum(counts_x[idx_x], counts_y[idx_y]).sum())
 
-    if len(a.ids) and len(b.ids):
-        b_padded = b.ids[None, :]
-        lcs = int(_lcs_row_grid(a.ids, b_padded, np.array([len(b.ids)]))[0])
-    else:
-        lcs = 0
+    only = np.zeros(1, dtype=np.intp)
+    lcs = int(_lcs_pairs([a.ids], [b.ids], only, only)[0])
     return clipped(a.ids, b.ids), clipped(a.bigrams, b.bigrams), lcs
 
 

@@ -52,6 +52,18 @@ class TestValidation:
         with pytest.raises(InvalidRequest, match="unknown algorithm"):
             SelectRequest(algorithm="Oracle").validated()
 
+    def test_brute_force_algorithm_is_not_served(self):
+        with pytest.raises(InvalidRequest, match="unservable algorithm") as caught:
+            SelectRequest(algorithm="CompaReSetS_Exhaustive").validated()
+        assert "'CompaReSetS'" in str(caught.value)
+        assert "CompaReSetS_Exhaustive'; one of" in str(caught.value)
+        with pytest.raises(InvalidRequest, match="unservable algorithm"):
+            NarrowRequest(algorithm="CompaReSetS_Exhaustive").validated()
+
+    def test_engine_refuses_brute_force_before_solving(self, engine):
+        with pytest.raises(InvalidRequest, match="unservable algorithm"):
+            engine.select(algorithm="CompaReSetS_Exhaustive", m=10)
+
     def test_bad_k(self):
         with pytest.raises(InvalidRequest):
             NarrowRequest(k=0).validated()

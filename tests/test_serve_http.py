@@ -156,6 +156,18 @@ class TestErrorMapping:
             == 422
         )
 
+    def test_brute_force_algorithm_is_422(self, served):
+        base, _ = served
+        for path in ("/v1/select", "/v1/narrow"):
+            assert (
+                _status_of(
+                    lambda: _post(
+                        f"{base}{path}", {"algorithm": "CompaReSetS_Exhaustive"}
+                    )
+                )
+                == 422
+            )
+
     def test_exhausted_deadline_is_503(self, served):
         base, _ = served
         assert (
