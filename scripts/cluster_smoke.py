@@ -4,7 +4,11 @@ Boots the single-process server and a 2-shard cluster as real
 subprocesses (argv parsing, corpus partitioning, shard supervision, the
 asyncio gateway — the full path CI cares about) and asserts the cluster
 answers ``/v1/select`` and ``/v1/narrow`` byte-identically to the
-single-process reference, modulo provenance.  A second leg boots a
+single-process reference, modulo provenance.  Both servers then get one
+request per reachable row of the error table over one keep-alive
+connection each: the status, the body and the presence of
+``Retry-After`` must match, and a valid select on the same connection
+must still answer 200.  A second leg boots a
 3-shard ``--replicas 2`` cluster, SIGKILLs one shard worker, and
 asserts reads keep answering 200 throughout the outage (failover to a
 replica, never a 503).  Exits non-zero on any failure.
@@ -14,6 +18,7 @@ Usage: PYTHONPATH=src python scripts/cluster_smoke.py
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import subprocess
@@ -22,6 +27,7 @@ import tempfile
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlparse
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -38,6 +44,74 @@ def post(url: str, body: dict) -> tuple[int, dict]:
 def get_raw(url: str) -> tuple[int, bytes]:
     with urllib.request.urlopen(url, timeout=60) as response:
         return response.status, response.read()
+
+
+def products(corpus: str) -> list[str]:
+    """Every product id in a corpus jsonl file, in file order."""
+    with open(corpus) as handle:
+        records = [json.loads(line) for line in handle]
+    return [r["product_id"] for r in records if r.get("kind") == "product"]
+
+
+def error_cases(product: str) -> list[tuple[str, str, bytes, dict]]:
+    """One request per reachable row of the error table (repro.serve.wire)."""
+    duplicate = {"review_id": "SMOKE-DUP", "product_id": product}
+    unknown = {"review_id": "SMOKE-X", "product_id": "NOPE"}
+    return [
+        ("POST", "/v1/select", b'{"m": 2}', {"X-Deadline-Ms": "soon"}),
+        ("POST", "/v1/select", b'{"m": 2}', {"X-Deadline-Ms": "nan"}),
+        ("POST", "/v1/select", b'{"m": 2}', {"X-Deadline-Ms": "inf"}),
+        ("POST", "/v1/select", b"{not json", {}),
+        ("POST", "/v1/select", b"[1, 2]", {}),
+        ("POST", "/v1/select", b'{"bogus": 1}', {}),
+        ("POST", "/v1/select", b'{"m": 0}', {}),
+        ("POST", "/v1/select", b'{"target": "NOPE"}', {}),
+        ("GET", "/nope", b"", {}),
+        ("GET", "/v1/select", b"", {}),
+        ("POST", "/healthz", b"{}", {}),
+        ("PUT", "/v1/select", b"{}", {}),
+        ("POST", "/v1/ingest", json.dumps({"reviews": [unknown]}).encode(), {}),
+        (
+            "POST", "/v1/ingest",
+            json.dumps({"reviews": [duplicate, duplicate]}).encode(), {},
+        ),
+    ]
+
+
+def exchange(
+    conn: http.client.HTTPConnection, method: str, path: str,
+    body: bytes = b"", headers: dict | None = None,
+) -> tuple[int, bool, bytes]:
+    """(status, whether Retry-After was sent, body) of one request."""
+    conn.request(method, path, body=body, headers=headers or {})
+    response = conn.getresponse()
+    return (
+        response.status,
+        response.getheader("Retry-After") is not None,
+        response.read(),
+    )
+
+
+def error_parity(single_base: str, cluster_base: str, product: str) -> int:
+    """Both servers answer every error case alike, then still serve."""
+    conns = [
+        http.client.HTTPConnection(url.hostname, url.port, timeout=120)
+        for url in (urlparse(single_base), urlparse(cluster_base))
+    ]
+    cases = error_cases(product)
+    try:
+        for case in cases:
+            single, clustered = (exchange(conn, *case) for conn in conns)
+            assert 400 <= single[0] < 500, (case, single)
+            assert single == clustered, (case, single, clustered)
+        # The error replies left each keep-alive connection usable.
+        for conn in conns:
+            status, _, body = exchange(conn, "POST", "/v1/select", b'{"m": 3}')
+            assert status == 200 and json.loads(body)["result"], (status, body)
+    finally:
+        for conn in conns:
+            conn.close()
+    return len(cases)
 
 
 def boot(argv: list[str], env: dict) -> tuple[subprocess.Popen, str]:
@@ -76,12 +150,7 @@ def replica_failover_leg(corpus: str, tmp: str, env: dict) -> None:
     )
     try:
         # Targets spanning the ring: every product in the corpus.
-        targets = []
-        with open(corpus) as handle:
-            for line in handle:
-                record = json.loads(line)
-                if record.get("kind") == "product":
-                    targets.append(record["product_id"])
+        targets = products(corpus)
         assert len(targets) >= 3, targets
 
         # Warm every shard first so the post-kill loop issues fast
@@ -163,6 +232,7 @@ def main() -> int:
                     mismatches += 1
                     print(f"MISMATCH on {path} {body}")
             assert mismatches == 0, f"{mismatches}/{checked} responses differ"
+            errors = error_parity(single_base, cluster_base, products(corpus)[0])
 
             status, raw = get_raw(f"{cluster_base}/healthz")
             health = json.loads(raw)
@@ -175,8 +245,9 @@ def main() -> int:
             assert "repro_shard_requests_total" in text, text[:400]
             assert "# ---- shard 1 ----" in text
 
-            print(f"cluster-smoke OK: {checked}/{checked} responses "
-                  "byte-identical across 1-shard and 2-shard topologies")
+            print(f"cluster-smoke OK: {checked}/{checked} responses and "
+                  f"{errors}/{errors} error replies byte-identical across "
+                  "1-shard and 2-shard topologies")
         finally:
             for process in (cluster, single):
                 process.terminate()

@@ -16,6 +16,8 @@ pieces compose bottom-up:
 * :mod:`repro.serve.http` — a stdlib ``ThreadingHTTPServer`` JSON API
   (``/healthz``, ``/metrics``, ``/v1/select``, ``/v1/narrow``,
   ``/v1/reload``).
+* :mod:`repro.serve.wire` — the wire contract every front end and shard
+  answers through: request checks and the one exception → status table.
 * :mod:`repro.serve.metrics` — counters and reservoir histograms with
   JSON and Prometheus renderings.
 * :mod:`repro.serve.admission` — :class:`AdmissionController`: bounded

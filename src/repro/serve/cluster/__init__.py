@@ -40,7 +40,6 @@ from repro.serve.cluster.ring import HashRing, PartitionPlan, partition_corpus
 from repro.serve.cluster.worker import (
     AppliedDeltaSeqs,
     ShardServer,
-    classify_error,
     handle_message,
     shard_child_main,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "ShardServer",
     "ShardUnavailable",
     "Topology",
-    "classify_error",
     "encode_frame",
     "handle_message",
     "partition_corpus",

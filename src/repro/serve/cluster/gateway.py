@@ -42,9 +42,11 @@ resize swaps the gateway's reference atomically on the event loop — a
 request observes exactly one epoch, which is what makes "never a
 wrong-shard answer" hold while the ring is being resized underneath.
 
-Success and error replies are relayed from the shard verbatim (the
-worker already emits the single-process server's exact payloads), which
-is what makes ``--shards N`` responses byte-identical to ``--shards 1``
+The request checks, the exception → status table and the error bodies
+come from :mod:`repro.serve.wire`, the module the single-process server
+and the shard workers answer through, and a shard's error frame is
+relayed as the :class:`~repro.serve.wire.WireError` it encodes.  That is
+what makes ``--shards N`` responses byte-identical to ``--shards 1``
 modulo provenance.  ``/v1/reload`` is the one deliberate gap: swapping
 corpora would change the partition itself, so cluster mode answers 501
 and operators restart with the new corpus instead.
@@ -53,12 +55,10 @@ and operators restart with the new corpus instead.
 from __future__ import annotations
 
 import asyncio
-import json
-import math
 import time
 from dataclasses import dataclass
 from http.client import responses as _HTTP_REASONS
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import urlparse
 
 from repro.data.corpus import Corpus
 from repro.data.instances import build_instance
@@ -70,12 +70,30 @@ from repro.serve.cluster.proto import (
     write_frame_async,
 )
 from repro.serve.cluster.ring import HashRing, PartitionPlan
-from repro.serve.engine import InvalidRequest
-from repro.serve.http import BadRequest, encode_json, parse_request
-from repro.serve.metrics import MetricsRegistry
-from repro.serve.store import UnviableTargetError
-from repro.serve.wal import WriteAheadLog, review_from_record
+from repro.serve.http import encode_json
 from repro.serve.jitter import NO_JITTER, RetryJitter
+from repro.serve.metrics import MetricsRegistry
+from repro.serve.store import (
+    DeltaValidationError,
+    UnknownTargetError,
+    UnviableTargetError,
+    check_delta,
+)
+from repro.serve.wal import WriteAheadLog, review_from_record
+from repro.serve.wire import (
+    JSON_TYPE,
+    PROMETHEUS_TYPE,
+    BadRequest,
+    WireError,
+    body_length,
+    deadline_ms,
+    failure,
+    ingest_batch,
+    json_body,
+    metrics_as_text,
+    parse_request,
+    route,
+)
 
 #: Upper bound on a forwarded request's wait for its shard when the
 #: client sent no deadline; with a deadline the wait is deadline + margin.
@@ -83,7 +101,6 @@ DEFAULT_SHARD_TIMEOUT = 120.0
 _SHARD_TIMEOUT_MARGIN = 5.0
 
 _MAX_HEADER_LINES = 100
-_MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Stripe count for the per-product ingest ordering locks.  Two
 #: products hashing to the same stripe serialise their deltas — a
@@ -104,23 +121,6 @@ class ShardUnavailable(RuntimeError):
             f"shard {shard} is unavailable ({detail}); retry shortly"
         )
         self.shard = shard
-
-
-class _HTTPError(Exception):
-    """Short-circuit to an error response while parsing/dispatching."""
-
-    def __init__(
-        self,
-        status: int,
-        message: str,
-        *,
-        retry_after: float | None = None,
-        extra: dict | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.status = status
-        self.retry_after = retry_after
-        self.extra = extra
 
 
 class ShardClient:
@@ -524,52 +524,32 @@ class ClusterGateway:
             ).inc()
             raise
 
-    def _relay(self, reply: dict) -> tuple[int, object, dict[str, str] | None]:
-        """Turn a shard reply frame into (status, payload, extra headers)."""
+    @staticmethod
+    def _relay(reply: dict) -> tuple[int, object, None]:
+        """A shard's 200 reply as (status, payload, headers); raise its error."""
         status = reply.get("status")
         if not isinstance(status, int):
             raise ShardUnavailable(-1, "malformed shard reply")
-        if status == 200:
-            return 200, reply.get("payload"), None
-        return self._error_response(
-            status,
-            str(reply.get("error", "shard error")),
-            retry_after=reply.get("retry_after"),
-            extra=reply.get("extra"),
-        )
-
-    def _error_response(
-        self,
-        status: int,
-        message: str,
-        *,
-        retry_after: float | None = None,
-        extra: dict | None = None,
-    ) -> tuple[int, object, dict[str, str] | None]:
-        """The single-process server's error body/headers, byte for byte."""
-        self.metrics.counter(
-            "repro_http_errors_total", "error responses by status",
-            labels={"status": str(status)},
-        ).inc()
-        payload: dict[str, object] = {"error": message, "status": status}
-        headers = None
-        if retry_after is not None:
-            headers = {"Retry-After": str(max(1, math.ceil(retry_after)))}
-            payload["retry_after"] = round(retry_after, 3)
-        if extra:
-            payload.update(extra)
-        return status, payload, headers
+        if status != 200:
+            raise WireError.from_frame(reply)
+        return 200, reply.get("payload"), None
 
     # -- endpoint handlers ---------------------------------------------------
 
     async def _handle_query(
         self, endpoint: str, body: dict, deadline_ms: float | None
     ) -> tuple[int, object, dict[str, str] | None]:
-        narrow = endpoint == "narrow"
         try:
-            request = parse_request(body, narrow)
-        except (BadRequest, TypeError) as exc:
-            return self._error_response(400, str(exc))
+            return await self._route_query(endpoint, body, deadline_ms)
+        except Exception as exc:
+            return failure(exc, endpoint, self.jitter).reply(self.metrics)
+
+    async def _route_query(
+        self, endpoint: str, body: dict, deadline_ms: float | None
+    ) -> tuple[int, object, None]:
+        # Validated here, as the single-process engine does before it
+        # admits a request or resolves its default target.
+        request = parse_request(body, endpoint == "narrow").validated()
         cost = request_cost(
             endpoint,
             request.m,
@@ -584,27 +564,19 @@ class ClusterGateway:
                 "repro_shed_total", "requests refused by admission control",
                 labels={"reason": exc.reason},
             ).inc()
-            return self._error_response(
-                429, str(exc), retry_after=exc.retry_after,
-                extra={"reason": exc.reason},
-            )
+            raise
         with slot:
             topo = self._topology
             target = request.target
-            try:
-                if target is None:
-                    target = self._default_target(
-                        request.max_comparisons, request.min_reviews
-                    )
-                    body = {**body, "target": target}
-                if target not in topo.plan.placement:
-                    return self._error_response(
-                        422, f"target {target!r} is not in the corpus"
-                    )
-            except (InvalidRequest, UnviableTargetError) as exc:
-                return self._error_response(422, str(exc))
+            if target is None:
+                target = self._default_target(
+                    request.max_comparisons, request.min_reviews
+                )
+                body = {**body, "target": target}
+            if target not in topo.plan.placement:
+                raise UnknownTargetError(f"target {target!r} is not in the corpus")
             preference = topo.plan.preference(target)
-            message = {"op": "narrow" if narrow else "select", "body": body}
+            message = {"op": endpoint, "body": body}
             if deadline_ms is not None:
                 message["deadline_ms"] = deadline_ms
             # Primary first, then failover down the preference list.
@@ -638,7 +610,7 @@ class ClusterGateway:
                     ).inc()
                     reply = _annotate_failover(reply, shard)
                 return self._relay(reply)
-            return self._error_response(
+            raise WireError(
                 503, last_detail, retry_after=self.jitter.apply(1.0),
                 extra={
                     "reason": "shard_unavailable",
@@ -647,38 +619,32 @@ class ClusterGateway:
                 },
             )
 
-    def _relay_ingest_failure(
-        self,
+    @staticmethod
+    def _ingest_failure(
         results: list[tuple[int, dict]],
         failures: list[tuple[int, dict]],
-    ) -> tuple[int, object, dict[str, str] | None]:
+    ) -> WireError:
         """Today's partial-failure relay: the most retryable failure wins.
 
         5xx (client should retry the whole batch; shard-level dedup
         makes the retry safe) over 409 over 400.  Partial application is
         possible and surfaced per shard so operators can reconcile.
         """
-        shard, reply = max(failures, key=lambda item: item[1].get("status", 0))
-        status, payload, headers = self._error_response(
-            reply.get("status", 503),
-            str(reply.get("error", "shard error")),
-            retry_after=reply.get("retry_after"),
-            extra=reply.get("extra"),
+        _shard, reply = max(failures, key=lambda item: item[1].get("status", 0))
+        return WireError.from_frame(
+            reply, shards={str(s): r.get("status") for s, r in results}
         )
-        if isinstance(payload, dict):
-            payload["shards"] = {str(s): r.get("status") for s, r in results}
-        return status, payload, headers
 
     async def _handle_ingest(
         self, body: dict
     ) -> tuple[int, object, dict[str, str] | None]:
         if self._ingest_stalled:
-            return self._error_response(
+            return WireError(
                 503,
                 "ingest is paused while the ring resizes; retry shortly",
                 retry_after=self.jitter.apply(0.5),
                 extra={"reason": self._stall_reason},
-            )
+            ).reply(self.metrics)
         # Counted before the first await: stall_ingest_and_drain() waits
         # for this to reach zero, so every ingest that beat the stall
         # check finishes its journal append before the resize's catch-up
@@ -687,6 +653,8 @@ class ClusterGateway:
         self._ingest_idle.clear()
         try:
             return await self._ingest_admitted(body)
+        except Exception as exc:
+            return failure(exc, "ingest", self.jitter).reply(self.metrics)
         finally:
             self._ingest_inflight -= 1
             if not self._ingest_inflight:
@@ -694,45 +662,21 @@ class ClusterGateway:
 
     async def _ingest_admitted(
         self, body: dict
-    ) -> tuple[int, object, dict[str, str] | None]:
-        unknown = sorted(set(body) - {"reviews"})
-        if unknown:
-            return self._error_response(400, f"unknown fields: {unknown}")
-        reviews = body.get("reviews")
-        if not isinstance(reviews, list) or not reviews:
-            return self._error_response(
-                400,
-                "field 'reviews' (a non-empty list of review objects) "
-                "is required",
-            )
-        if not all(isinstance(entry, dict) for entry in reviews):
-            return self._error_response(
-                400, "every entry in 'reviews' must be an object"
-            )
-        # Mirror the store's validation order — parse every record, then
-        # reject unknown products and in-batch duplicates on the first
-        # offender — so the gateway 400s/409s read exactly like the
-        # single-process server's.  Existing-id conflicts can only be
-        # seen by the shards; their 409 is relayed below.
+    ) -> tuple[int, object, None]:
+        reviews = ingest_batch(body)
         try:
             parsed = [review_from_record(record) for record in reviews]
         except ValueError as exc:
-            return self._error_response(400, str(exc))
+            raise DeltaValidationError(str(exc)) from exc
         topo = self._topology
+        # The store's own checks over the whole catalogue, so an unknown
+        # product or an in-batch duplicate is refused here exactly as
+        # the single-process store refuses it.  Conflicts with reviews
+        # already held can only be seen by the shards; their 409 is
+        # relayed below.
+        check_delta(parsed, topo.plan.placement.__contains__, frozenset())
         groups: dict[int, list[dict]] = {}
-        seen: set[str] = set()
         for review, record in zip(parsed, reviews):
-            if review.product_id not in topo.plan.placement:
-                return self._error_response(
-                    400,
-                    f"review {review.review_id!r} references unknown "
-                    f"product {review.product_id!r}",
-                )
-            if review.review_id in seen:
-                return self._error_response(
-                    409, f"duplicate review id {review.review_id!r}"
-                )
-            seen.add(review.review_id)
             for shard in topo.plan.holders(review.product_id):
                 groups.setdefault(shard, []).append(record)
 
@@ -767,7 +711,7 @@ class ClusterGateway:
         parsed: list,
         reviews: list[dict],
         groups: dict[int, list[dict]],
-    ) -> tuple[int, object, dict[str, str] | None]:
+    ) -> tuple[int, object, None]:
         delta_seq: int | None = None
         if self.journal is not None:
             self._delta_seq += 1
@@ -824,7 +768,7 @@ class ClusterGateway:
             # A shard-level rejection (400/409/...) or an unreachable
             # holder with no hint queue configured: relay exactly as the
             # unreplicated gateway did.
-            return self._relay_ingest_failure(results, hard + down)
+            raise self._ingest_failure(results, hard + down)
         hinted: list[int] = []
         if down:
             # Durability rule: every product must have reached at least
@@ -834,7 +778,7 @@ class ClusterGateway:
             # until a drain, so the client should retry instead.
             for review in parsed:
                 if not set(topo.plan.preference(review.product_id)) & acked:
-                    return self._relay_ingest_failure(results, down)
+                    raise self._ingest_failure(results, down)
             assert delta_seq is not None  # hints imply a journal
             try:
                 # All-or-nothing across the down shards: a delta only
@@ -846,10 +790,10 @@ class ClusterGateway:
                     delta_seq,
                 )
             except HintOverflow as exc:
-                return self._error_response(
+                raise WireError(
                     503, str(exc), retry_after=self.jitter.apply(2.0),
                     extra={"reason": "hint_overflow", "shard": exc.shard},
-                )
+                ) from exc
             for shard, _reply in down:
                 self.metrics.counter(
                     "repro_hints_queued_total",
@@ -1043,28 +987,27 @@ class ClusterGateway:
 
     # -- aggregations --------------------------------------------------------
 
-    async def _handle_snapshot(self) -> tuple[int, object, dict[str, str] | None]:
-        topo = self._topology
+    async def _ask_every_shard(
+        self, topo: Topology, message: dict, timeout: float | None = None
+    ) -> list[tuple[int, dict]]:
+        """``(shard, reply)`` from every shard; an unreachable one is a 503."""
 
         async def _one(shard: int):
             try:
-                return shard, await self._call_shard(
-                    topo, shard, {"op": "snapshot"}
-                )
+                return shard, await self._call_shard(topo, shard, message, timeout)
             except ShardUnavailable as exc:
                 return shard, {"status": 503, "error": str(exc)}
 
-        results = await asyncio.gather(
+        return await asyncio.gather(
             *(_one(shard) for shard in range(topo.plan.shards))
         )
+
+    async def _handle_snapshot(self) -> tuple[int, object, dict[str, str] | None]:
+        results = await self._ask_every_shard(self._topology, {"op": "snapshot"})
         failures = [(s, r) for s, r in results if r.get("status") != 200]
         if failures:
             shard, reply = failures[0]
-            return self._error_response(
-                reply.get("status", 503),
-                str(reply.get("error", "shard error")),
-                extra={"shard": shard},
-            )
+            return WireError.from_frame(reply, shard=shard).reply(self.metrics)
         return (
             200,
             {"shards": {str(s): r.get("payload") for s, r in results}},
@@ -1073,23 +1016,12 @@ class ClusterGateway:
 
     async def _handle_healthz(self) -> tuple[int, object, dict[str, str] | None]:
         topo = self._topology
-
-        async def _one(shard: int):
-            try:
-                reply = await self._call_shard(
-                    topo, shard, {"op": "healthz"}, timeout=5.0
-                )
-            except ShardUnavailable as exc:
-                return shard, {"status": "down", "error": str(exc)}
-            payload = reply.get("payload") or {}
-            if reply.get("status") != 200 and "status" not in payload:
-                payload = {"status": "down", "error": reply.get("error")}
-            return shard, payload
-
-        results = await asyncio.gather(
-            *(_one(shard) for shard in range(topo.plan.shards))
-        )
-        shards = {str(shard): view for shard, view in results}
+        shards: dict[str, dict] = {}
+        for shard, reply in await self._ask_every_shard(topo, {"op": "healthz"}, 5.0):
+            view = reply.get("payload") or {}
+            if reply.get("status") != 200 and "status" not in view:
+                view = {"status": "down", "error": reply.get("error")}
+            shards[str(shard)] = view
         all_ok = all(view.get("status") == "ok" for view in shards.values())
         payload = {
             # The gateway is alive either way; "degraded" names the state
@@ -1114,20 +1046,7 @@ class ClusterGateway:
     async def _handle_metrics(
         self, prometheus: bool
     ) -> tuple[int, object, dict[str, str] | None]:
-        topo = self._topology
-
-        async def _one(shard: int):
-            try:
-                reply = await self._call_shard(
-                    topo, shard, {"op": "metrics"}, timeout=5.0
-                )
-            except ShardUnavailable as exc:
-                return shard, {"status": 503, "error": str(exc)}
-            return shard, reply
-
-        results = await asyncio.gather(
-            *(_one(shard) for shard in range(topo.plan.shards))
-        )
+        results = await self._ask_every_shard(self._topology, {"op": "metrics"}, 5.0)
         if prometheus:
             blocks = [self.metrics.render_prometheus()]
             for shard, reply in results:
@@ -1152,75 +1071,56 @@ class ClusterGateway:
     ) -> tuple[int, object, dict[str, str] | None, str]:
         """Returns (status, payload, extra headers, content type)."""
         url = urlparse(path)
-        if method == "GET":
-            if url.path == "/healthz":
-                status, payload, extra = await self._handle_healthz()
-                return status, payload, extra, "application/json"
-            if url.path == "/metrics":
-                query = parse_qs(url.query)
-                wants_text = (
-                    query.get("format", [""])[0] == "prometheus"
-                    or "text/plain" in headers.get("accept", "")
-                )
-                status, payload, extra = await self._handle_metrics(wants_text)
-                content = (
-                    "text/plain; version=0.0.4" if wants_text
-                    else "application/json"
-                )
-                return status, payload, extra, content
-            if url.path in (
-                "/v1/select", "/v1/narrow", "/v1/reload", "/v1/ingest",
-                "/v1/snapshot",
-            ):
-                status, payload, extra = self._error_response(
-                    405, f"{url.path} requires POST"
-                )
-                return status, payload, extra, "application/json"
-            status, payload, extra = self._error_response(
-                404, f"unknown endpoint {url.path!r}"
-            )
-            return status, payload, extra, "application/json"
-        if method != "POST":
-            status, payload, extra = self._error_response(
-                405, f"method {method} is not supported"
-            )
-            return status, payload, extra, "application/json"
-        if url.path in ("/healthz", "/metrics"):
-            status, payload, extra = self._error_response(
-                405, f"{url.path} requires GET"
-            )
-            return status, payload, extra, "application/json"
-        if url.path == "/v1/reload":
-            status, payload, extra = self._error_response(
-                501,
-                "corpus reload is not supported in cluster mode; restart "
-                "the cluster with the new corpus (the partition depends "
-                "on it)",
-            )
-            return status, payload, extra, "application/json"
-        if url.path not in ("/v1/select", "/v1/narrow", "/v1/ingest", "/v1/snapshot"):
-            status, payload, extra = self._error_response(
-                404, f"unknown endpoint {url.path!r}"
-            )
-            return status, payload, extra, "application/json"
         try:
-            deadline_ms = _parse_deadline(headers)
-            body = _parse_body(body_bytes)
-        except _HTTPError as exc:
-            status, payload, extra = self._error_response(
-                exc.status, str(exc), retry_after=exc.retry_after, extra=exc.extra
-            )
-            return status, payload, extra, "application/json"
-        if url.path == "/v1/ingest":
+            endpoint = route(method, url.path)
+            if endpoint == "healthz":
+                return (*await self._handle_healthz(), JSON_TYPE)
+            if endpoint == "metrics":
+                as_text = metrics_as_text(url.query, headers.get("accept", ""))
+                status, payload, extra = await self._handle_metrics(as_text)
+                return status, payload, extra, (
+                    PROMETHEUS_TYPE if as_text else JSON_TYPE
+                )
+            if endpoint == "reload":
+                raise WireError(
+                    501,
+                    "corpus reload is not supported in cluster mode; restart "
+                    "the cluster with the new corpus (the partition depends "
+                    "on it)",
+                )
+            deadline = deadline_ms(headers.get("x-deadline-ms"))
+            body = json_body(body_bytes)
+        except WireError as error:
+            return (*error.reply(self.metrics), JSON_TYPE)
+        if endpoint == "ingest":
             status, payload, extra = await self._handle_ingest(body)
-        elif url.path == "/v1/snapshot":
+        elif endpoint == "snapshot":
             status, payload, extra = await self._handle_snapshot()
         else:
-            endpoint = "narrow" if url.path == "/v1/narrow" else "select"
             status, payload, extra = await self._handle_query(
-                endpoint, body, deadline_ms
+                endpoint, body, deadline
             )
-        return status, payload, extra, "application/json"
+        return status, payload, extra, JSON_TYPE
+
+    async def _respond(self, reader: asyncio.StreamReader):
+        """Read and answer one request: the reply plus whether to close.
+
+        ``None`` on a clean EOF between requests.
+        """
+        try:
+            request = await _read_http_request(reader)
+        except WireError as error:
+            # The request cannot be read whole, so the stream cannot
+            # carry another one: answer, then close.
+            return (*error.reply(self.metrics), JSON_TYPE, True)
+        if request is None:
+            return None
+        method, path, headers, body, close = request
+        try:
+            reply = await self._dispatch(method, path, headers, body)
+        except Exception as exc:  # pragma: no cover - backstop
+            reply = (*failure(exc, None, self.jitter).reply(self.metrics), JSON_TYPE)
+        return (*reply, close)
 
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -1228,19 +1128,10 @@ class ClusterGateway:
         """One client connection: HTTP/1.1 with keep-alive."""
         try:
             while True:
-                parsed = await _read_http_request(reader)
-                if parsed is None:
+                answered = await self._respond(reader)
+                if answered is None:
                     break
-                method, path, headers, body_bytes, close = parsed
-                try:
-                    status, payload, extra, content = await self._dispatch(
-                        method, path, headers, body_bytes
-                    )
-                except Exception as exc:  # pragma: no cover - backstop
-                    status, payload, extra = self._error_response(
-                        500, f"{type(exc).__name__}: {exc}"
-                    )
-                    content = "application/json"
+                status, payload, extra, content, close = answered
                 body = payload if isinstance(payload, bytes) else encode_json(payload)
                 reason = _HTTP_REASONS.get(status, "Unknown")
                 head = [
@@ -1257,10 +1148,8 @@ class ClusterGateway:
                 await writer.drain()
                 if close:
                     break
-        except (_HTTPError, ConnectionError, asyncio.IncompleteReadError):
-            pass  # malformed or torn connection: just drop it
-        except OSError:
-            pass
+        except (OSError, EOFError, ValueError):
+            pass  # torn connection or an overlong line: just drop it
         finally:
             writer.close()
 
@@ -1285,46 +1174,21 @@ class ClusterGateway:
             await client.aclose()
 
 
-def _parse_deadline(headers: dict[str, str]) -> float | None:
-    raw = headers.get("x-deadline-ms")
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise _HTTPError(
-            400, f"X-Deadline-Ms must be a number, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise _HTTPError(400, f"X-Deadline-Ms must be positive, got {raw!r}")
-    return value
-
-
-def _parse_body(body_bytes: bytes) -> dict:
-    try:
-        body = json.loads(body_bytes or b"{}")
-    except json.JSONDecodeError as exc:
-        raise _HTTPError(400, f"invalid JSON body: {exc}") from None
-    if not isinstance(body, dict):
-        raise _HTTPError(400, "request body must be a JSON object")
-    return body
-
-
 async def _read_http_request(
     reader: asyncio.StreamReader,
 ):
     """Parse one request; ``None`` on a clean EOF before a request line.
 
     Returns ``(method, path, lowercase headers, body bytes, close)``.
-    Raises on malformed framing — the caller drops the connection, which
-    is the only safe answer when the byte stream cannot be trusted.
+    Raises :class:`WireError` when the request cannot be read whole:
+    malformed framing, or a body :func:`body_length` refuses.
     """
     line = await reader.readline()
     if not line:
         return None
     parts = line.decode("latin-1").rstrip("\r\n").split()
     if len(parts) != 3:
-        raise _HTTPError(400, f"malformed request line: {line!r}")
+        raise BadRequest(f"malformed request line: {line!r}")
     method, path, version = parts
     headers: dict[str, str] = {}
     for _ in range(_MAX_HEADER_LINES):
@@ -1334,14 +1198,8 @@ async def _read_http_request(
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     else:
-        raise _HTTPError(431, "too many header lines")
-    length_raw = headers.get("content-length", "0")
-    try:
-        length = int(length_raw)
-    except ValueError:
-        raise _HTTPError(400, f"invalid Content-Length: {length_raw!r}") from None
-    if not 0 <= length <= _MAX_BODY_BYTES:
-        raise _HTTPError(413, f"body of {length} bytes is not acceptable")
+        raise WireError(431, "too many header lines")
+    length = body_length(headers.get("content-length"))
     body = await reader.readexactly(length) if length else b""
     close = (
         headers.get("connection", "").lower() == "close"

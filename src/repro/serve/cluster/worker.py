@@ -6,15 +6,16 @@ crash recovery applies per shard) behind a thread-per-connection TCP
 server speaking the :mod:`repro.serve.cluster.proto` framing.  The
 gateway owns the public HTTP surface; the worker's job is to produce
 *exactly* the status code and payload the single-process server would
-have produced, which it does by reusing the HTTP layer's request
-parsing (:func:`repro.serve.http.parse_request`) and mirroring its
-exception taxonomy in :func:`classify_error`.
+have produced, which it does by answering through the same
+:mod:`repro.serve.wire` functions: the request checks, the
+:func:`~repro.serve.wire.failure` table and the healthz/snapshot
+payloads.
 
 Request frames are ``{"op": ..., ...}``; replies are either
-``{"status": 200, "payload": ...}`` or ``{"status": <4xx/5xx>,
-"error": ..., "retry_after"?: ..., "extra"?: {...}}`` — precisely the
-pieces :meth:`ServeHandler._send_error_json` would have assembled, so
-the gateway relays them without reinterpretation.
+``{"status": 200, "payload": ...}`` or the error frame of a
+:class:`~repro.serve.wire.WireError` (``{"status": <4xx/5xx>, "error":
+..., "retry_after"?: ..., "extra"?: {...}}``), which the gateway relays
+without reinterpretation.
 
 :func:`shard_child_main` matches the :class:`~repro.serve.supervisor.
 Supervisor` child-entry contract (readiness over a pipe, SIGTERM drain,
@@ -29,23 +30,19 @@ import socketserver
 import threading
 import time
 
-from repro.resilience.deadline import DeadlineExceeded, deadline_scope
-from repro.serve.admission import AdmissionController, Overloaded
-from repro.serve.breaker import CircuitOpen
+from repro.serve.admission import AdmissionController
 from repro.serve.cluster.proto import FrameError, recv_frame, send_frame
-from repro.serve.engine import (
-    EngineClosed,
-    EngineDraining,
-    InvalidRequest,
-    SelectionEngine,
-    build_durable_engine,
-)
-from repro.serve.health import DRAINING
-from repro.serve.http import BadRequest, parse_request
-from repro.serve.store import (
-    DeltaValidationError,
-    UnknownTargetError,
-    UnviableTargetError,
+from repro.serve.engine import SelectionEngine, build_durable_engine
+from repro.serve.store import DeltaValidationError
+from repro.serve.wire import (
+    BadRequest,
+    WireError,
+    deadline_ms,
+    failure,
+    health,
+    query,
+    review_batch,
+    snapshot,
 )
 
 #: Engine-option keys the shard resolves itself rather than forwarding
@@ -99,73 +96,6 @@ class AppliedDeltaSeqs:
                 self._seen.discard(self._order.pop(0))
 
 
-def classify_error(
-    exc: Exception, engine: SelectionEngine, *, ingest: bool
-) -> dict:
-    """Map an engine exception to the single-process HTTP error reply.
-
-    The order mirrors the ``except`` chains in ``ServeHandler.do_POST``
-    and ``_do_ingest`` — same statuses, same retry hints, same ``extra``
-    fields — so clients cannot tell a shard's error from the
-    single-process server's.
-    """
-    if isinstance(exc, BadRequest):
-        return {"status": 400, "error": str(exc)}
-    if isinstance(exc, DeltaValidationError):
-        return {"status": 409 if exc.conflict else 400, "error": str(exc)}
-    if not ingest and isinstance(exc, TypeError):
-        return {"status": 400, "error": str(exc)}
-    if isinstance(exc, (InvalidRequest, UnknownTargetError, UnviableTargetError)):
-        return {"status": 422, "error": str(exc)}
-    if isinstance(exc, Overloaded):
-        return {
-            "status": 429,
-            "error": str(exc),
-            "retry_after": exc.retry_after,
-            "extra": {"reason": exc.reason},
-        }
-    if isinstance(exc, EngineDraining):
-        return {
-            "status": 503,
-            "error": str(exc),
-            "retry_after": engine.jitter.apply(1.0),
-        }
-    if isinstance(exc, CircuitOpen):
-        return {
-            "status": 503,
-            "error": str(exc),
-            "retry_after": engine.jitter.apply(5.0),
-            "extra": {"reason": "circuit_open"},
-        }
-    if isinstance(exc, (DeadlineExceeded, EngineClosed)):
-        return {"status": 503, "error": str(exc)}
-    if ingest and isinstance(exc, OSError):
-        return {
-            "status": 503,
-            "error": f"cannot persist delta: {exc}",
-            "retry_after": engine.jitter.apply(2.0),
-            "extra": {"reason": "wal_unavailable"},
-        }
-    return {"status": 500, "error": f"{type(exc).__name__}: {exc}"}
-
-
-def _handle_query(engine: SelectionEngine, message: dict, narrow: bool) -> dict:
-    body = message.get("body")
-    if not isinstance(body, dict):
-        raise BadRequest("shard query frame must carry a 'body' object")
-    deadline_ms = message.get("deadline_ms")
-    if deadline_ms is not None and (
-        isinstance(deadline_ms, bool)
-        or not isinstance(deadline_ms, (int, float))
-        or deadline_ms <= 0
-    ):
-        raise BadRequest(f"deadline_ms must be a positive number, got {deadline_ms!r}")
-    request = parse_request(body, narrow)
-    with deadline_scope(None if deadline_ms is None else deadline_ms / 1e3):
-        response = engine.narrow(request) if narrow else engine.select(request)
-    return response.as_dict()
-
-
 def _noop_ingest_ack(engine: SelectionEngine) -> dict:
     """The ack for a delta this shard has already applied (same shape as
     a real ingest ack, so the gateway aggregates it unchanged)."""
@@ -185,13 +115,7 @@ def _handle_ingest(
     message: dict,
     applied: AppliedDeltaSeqs | None = None,
 ) -> dict:
-    reviews = message.get("reviews")
-    if not isinstance(reviews, list) or not reviews:
-        raise BadRequest(
-            "field 'reviews' (a non-empty list of review objects) is required"
-        )
-    if not all(isinstance(entry, dict) for entry in reviews):
-        raise BadRequest("every entry in 'reviews' must be an object")
+    reviews = review_batch(message.get("reviews"))
     delta_seq = message.get("delta_seq")
     if delta_seq is not None and (
         isinstance(delta_seq, bool) or not isinstance(delta_seq, int)
@@ -217,24 +141,6 @@ def _handle_ingest(
     return ack
 
 
-def _handle_healthz(engine: SelectionEngine, started_at: float) -> dict:
-    health = engine.health.view()
-    state = health["state"]
-    payload: dict = {
-        "status": "ok" if state == "healthy" else state,
-        "corpus_version": engine.store.version,
-        "uptime_seconds": round(time.monotonic() - started_at, 3),
-        "inflight": engine.admission.inflight,
-    }
-    if "reasons" in health:
-        payload["reasons"] = health["reasons"]
-    if engine.recovery is not None:
-        payload["recovery"] = engine.recovery.as_dict()
-    # Same split as the HTTP layer: draining answers 503 so the gateway
-    # stops routing here; everything else (including recovering) is 200.
-    return {"status": 503 if state == DRAINING else 200, "payload": payload}
-
-
 def _handle_product_state(engine: SelectionEngine, message: dict) -> dict:
     """The replica-divergence probe: a product's review ids, in order.
 
@@ -245,28 +151,18 @@ def _handle_product_state(engine: SelectionEngine, message: dict) -> dict:
     """
     product_id = message.get("product_id")
     if not isinstance(product_id, str) or not product_id:
-        return {
-            "status": 400,
-            "error": "field 'product_id' (a non-empty string) is required",
-        }
+        raise BadRequest("field 'product_id' (a non-empty string) is required")
     corpus = engine.store.corpus
     if not corpus.has_product(product_id):
-        return {
-            "status": 404,
-            "error": f"product {product_id!r} is not held by this shard",
-        }
-    review_ids = [
-        review.review_id
-        for review in corpus.reviews
-        if review.product_id == product_id
-    ]
+        raise WireError(404, f"product {product_id!r} is not held by this shard")
     return {
-        "status": 200,
-        "payload": {
-            "product_id": product_id,
-            "review_ids": review_ids,
-            "version": engine.store.version,
-        },
+        "product_id": product_id,
+        "review_ids": [
+            review.review_id
+            for review in corpus.reviews
+            if review.product_id == product_id
+        ],
+        "version": engine.store.version,
     }
 
 
@@ -281,46 +177,33 @@ def handle_message(
     op = message.get("op")
     try:
         if op in ("select", "narrow"):
-            return {
-                "status": 200,
-                "payload": _handle_query(engine, message, op == "narrow"),
+            body = message.get("body")
+            if not isinstance(body, dict):
+                raise BadRequest("shard query frame must carry a 'body' object")
+            payload = query(
+                engine, op, body, deadline_ms(message.get("deadline_ms"))
+            )
+        elif op == "ingest":
+            payload = _handle_ingest(engine, message, applied_seqs)
+        elif op == "healthz":
+            status, payload = health(engine, started_at)
+            return {"status": status, "payload": payload}
+        elif op == "metrics":
+            payload = {
+                "json": engine.metrics.as_dict(),
+                "prometheus": engine.metrics.render_prometheus(),
             }
-        if op == "ingest":
-            return {
-                "status": 200,
-                "payload": _handle_ingest(engine, message, applied_seqs),
-            }
-        if op == "healthz":
-            return _handle_healthz(engine, started_at)
-        if op == "metrics":
-            return {
-                "status": 200,
-                "payload": {
-                    "json": engine.metrics.as_dict(),
-                    "prometheus": engine.metrics.render_prometheus(),
-                },
-            }
-        if op == "snapshot":
-            try:
-                info = engine.snapshot()
-            except RuntimeError as exc:
-                return {"status": 409, "error": str(exc)}
-            return {
-                "status": 200,
-                "payload": {
-                    "path": str(info.path),
-                    "version": info.version,
-                    "wal_seq": info.wal_seq,
-                    "artifacts": info.artifacts,
-                },
-            }
-        if op == "product_state":
-            return _handle_product_state(engine, message)
-        if op == "ping":
-            return {"status": 200, "payload": {"version": engine.store.version}}
-        return {"status": 400, "error": f"unknown op {op!r}"}
+        elif op == "snapshot":
+            payload = snapshot(engine)
+        elif op == "product_state":
+            payload = _handle_product_state(engine, message)
+        elif op == "ping":
+            payload = {"version": engine.store.version}
+        else:
+            raise BadRequest(f"unknown op {op!r}")
     except Exception as exc:
-        return classify_error(exc, engine, ingest=op == "ingest")
+        return failure(exc, op, engine.jitter).frame()
+    return {"status": 200, "payload": payload}
 
 
 class ShardServer(socketserver.ThreadingTCPServer):

@@ -1045,6 +1045,10 @@ class SelectionEngine:
         deadline: Deadline,
     ):
         """Run one cache miss on the worker pool, bounded by ``deadline``."""
+        # An expired deadline never starts a solve.  Otherwise the pool
+        # wait below is 0 s, and a memo-warm solve that finishes first
+        # would come back as a success.
+        deadline.check(f"{endpoint} request not started")
         if self.batcher is not None and endpoint == "select":
             # Solver-aware grouping: any select misses of one corpus
             # generation may share GEMM-stacked pursuit rounds, so the

@@ -17,26 +17,16 @@ Endpoints
 ``POST /v1/reload``
     Admin: ``{"path": "corpus.jsonl"}`` — validate the new corpus in the
     background (old generation keeps serving) and atomically swap it in.
-    409 when validation fails or another reload is running.
 ``POST /v1/ingest``
     Durable delta ingest: ``{"reviews": [{"review_id": ..., "product_id":
-    ..., ...}, ...]}``.  The batch is fsynced to the write-ahead log
-    *before* the 200 ack, so an acknowledged delta survives any crash.
-    400 for malformed reviews, 409 for duplicate review ids, 503 (with
-    ``Retry-After``) when the log cannot be written (disk full).
+    ..., ...}, ...]}``, fsynced to the write-ahead log before the ack.
 ``POST /v1/snapshot``
     Admin: write an atomic generation snapshot now and compact the WAL.
-    409 when the engine has no durable state configured.
 
-Error mapping: malformed JSON or mistyped/unknown fields are 400;
-semantically invalid requests (unknown target or algorithm, non-viable
-instance) are 422; a request shed by admission control is 429 with a
-``Retry-After`` header; a reload conflict is 409; an exhausted deadline,
-a draining engine (also ``Retry-After``), or a closed engine is 503.
-The full table lives in ``docs/SERVING.md``.  An ``X-Deadline-Ms``
-request header installs a per-request deadline that propagates through
-the engine into every solver (the PR-1 ambient deadline scope), so a
-client-side budget bounds the server-side work.
+The handler is a transport: it reads the announced body, lets
+:mod:`repro.serve.wire` check the request and map any failure to its
+status (the table the cluster answers by too), and sends the reply.  An
+``X-Deadline-Ms`` header bounds the request's server-side work.
 
 Built on :class:`http.server.ThreadingHTTPServer` — one thread per
 connection, which is exactly what the engine's single-flight cache and
@@ -46,31 +36,29 @@ micro-batcher are designed to coalesce.
 from __future__ import annotations
 
 import json
-import math
 import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import urlparse
 
-from repro.resilience.deadline import DeadlineExceeded, deadline_scope
-from repro.serve.admission import Overloaded
-from repro.serve.breaker import CircuitOpen
-from repro.serve.engine import (
-    EngineClosed,
-    EngineDraining,
-    InvalidRequest,
-    NarrowRequest,
-    SelectionEngine,
-    SelectRequest,
-)
-from repro.serve.health import DRAINING
-from repro.serve.store import (
-    CorpusValidationError,
-    DeltaValidationError,
-    ReloadInProgress,
-    UnknownTargetError,
-    UnviableTargetError,
+from repro.serve.engine import SelectionEngine
+from repro.serve.wire import (
+    JSON_TYPE,
+    PROMETHEUS_TYPE,
+    BadRequest,
+    WireError,
+    body_length,
+    deadline_ms,
+    failure,
+    health,
+    ingest_batch,
+    json_body,
+    metrics_as_text,
+    only_fields,
+    query,
+    route,
+    snapshot,
 )
 
 
@@ -83,58 +71,23 @@ def encode_json(payload: object) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
-class _BadRequest(ValueError):
-    """Malformed body: not JSON, not an object, or mistyped fields (400)."""
-
-
-_NUMBER = (int, float)
-_SELECT_FIELDS: dict[str, tuple[type, ...]] = {
-    "target": (str, type(None)),
-    "m": (int,),
-    "lam": _NUMBER,
-    "mu": _NUMBER,
-    "scheme": (str,),
-    "algorithm": (str,),
-    "max_comparisons": (int,),
-    "min_reviews": (int,),
-}
-_NARROW_FIELDS: dict[str, tuple[type, ...]] = {
-    **_SELECT_FIELDS,
-    "k": (int,),
-    "time_limit": _NUMBER,
-    "stages": (list,),
-}
-
-
-def _parse_request(body: dict, narrow: bool) -> SelectRequest:
-    """Typed field extraction; wrong shapes raise :class:`_BadRequest`."""
-    fields = _NARROW_FIELDS if narrow else _SELECT_FIELDS
-    unknown = sorted(set(body) - set(fields))
-    if unknown:
-        raise _BadRequest(f"unknown fields: {unknown}")
-    kwargs: dict[str, object] = {}
-    for name, value in body.items():
-        expected = fields[name]
-        if isinstance(value, bool) or not isinstance(value, expected):
-            names = "/".join(t.__name__ for t in expected)
-            raise _BadRequest(f"field {name!r} must be {names}")
-        kwargs[name] = value
-    if "stages" in kwargs:
-        stages = kwargs["stages"]
-        if not all(isinstance(stage, str) for stage in stages):
-            raise _BadRequest("field 'stages' must be a list of strings")
-        kwargs["stages"] = tuple(stages)
-    if narrow:
-        return NarrowRequest(**kwargs)
-    return SelectRequest(**kwargs)
-
-
-# Shared with the cluster shard worker (repro.serve.cluster.worker): the
-# shard hop reuses the exact body validation, error taxonomy, and
-# canonical encoding, so a gateway response is byte-identical to the
-# single-process server's for the same request.
-BadRequest = _BadRequest
-parse_request = _parse_request
+def _reload(engine: SelectionEngine, body: dict) -> dict:
+    """Swap in the corpus at ``body["path"]`` once it validates."""
+    only_fields(body, ("path",))
+    path = body.get("path")
+    if not isinstance(path, str) or not path:
+        raise BadRequest("field 'path' (a corpus file path) is required")
+    previous = engine.store.version
+    try:
+        version = engine.reload_from_path(path)
+    except Exception as exc:
+        error = failure(exc, "reload", engine.jitter)
+        if error.status == 409:
+            # Nothing was swapped: the previous generation is still the
+            # one serving (that *is* the rollback).
+            error.extra = {"version": previous}
+        raise error from exc
+    return {"version": version, "previous": previous}
 
 
 class ServingHTTPServer(ThreadingHTTPServer):
@@ -184,254 +137,60 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_json(
-        self,
-        status: int,
-        message: str,
-        retry_after: float | None = None,
-        extra: dict[str, object] | None = None,
-    ) -> None:
-        self.server.engine.metrics.counter(
-            "repro_http_errors_total", "error responses by status",
-            labels={"status": str(status)},
-        ).inc()
-        headers = None
-        payload: dict[str, object] = {"error": message, "status": status}
-        if retry_after is not None:
-            # The header wants integer seconds (RFC 9110); the body keeps
-            # the precise hint for clients that parse JSON.
-            headers = {"Retry-After": str(max(1, math.ceil(retry_after)))}
-            payload["retry_after"] = round(retry_after, 3)
-        if extra:
-            payload.update(extra)
-        self._send(status, payload, headers=headers)
-
-    def _deadline_ms(self) -> float | None:
-        raw = self.headers.get("X-Deadline-Ms")
-        if raw is None:
-            return None
-        try:
-            value = float(raw)
-        except ValueError:
-            raise _BadRequest(f"X-Deadline-Ms must be a number, got {raw!r}") from None
-        if value <= 0:
-            raise _BadRequest(f"X-Deadline-Ms must be positive, got {raw!r}")
-        return value
-
-    def _read_body(self) -> dict:
-        length = self.headers.get("Content-Length")
-        try:
-            size = int(length) if length is not None else 0
-        except ValueError:
-            raise _BadRequest("invalid Content-Length") from None
-        raw = self.rfile.read(size) if size else b"{}"
-        try:
-            body = json.loads(raw or b"{}")
-        except json.JSONDecodeError as exc:
-            raise _BadRequest(f"invalid JSON body: {exc}") from None
-        if not isinstance(body, dict):
-            raise _BadRequest("request body must be a JSON object")
-        return body
-
-    # -- endpoints -----------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        url = urlparse(self.path)
-        if url.path == "/healthz":
-            engine = self.server.engine
-            health = engine.health.view()
-            state = health["state"]
-            payload = {
-                # "ok" is the legacy healthy value (smoke tests and
-                # probes grep for it); degraded/draining name the state.
-                "status": "ok" if state == "healthy" else state,
-                "corpus_version": engine.store.version,
-                "uptime_seconds": round(
-                    time.monotonic() - self.server.started_at, 3
-                ),
-                "inflight": engine.admission.inflight,
-            }
-            if "reasons" in health:
-                payload["reasons"] = health["reasons"]
-            if engine.recovery is not None:
-                # Recovery provenance: how this process rebuilt its state
-                # (snapshot/WAL modes, replay counts, supervisor restarts).
-                payload["recovery"] = engine.recovery.as_dict()
-            # Draining answers 503 so load balancers stop routing here,
-            # while in-flight requests keep completing.  Recovering stays
-            # 200: the instance is serving, just rebuilding warmth.
-            self._send(503 if state == DRAINING else 200, payload)
-        elif url.path == "/metrics":
-            query = parse_qs(url.query)
-            accept = self.headers.get("Accept", "")
-            wants_text = (
-                query.get("format", [""])[0] == "prometheus"
-                or "text/plain" in accept
-            )
-            if wants_text:
-                self._send(
-                    200,
-                    self.server.engine.metrics.render_prometheus().encode(),
-                    content_type="text/plain; version=0.0.4",
-                )
-            else:
-                self._send(200, self.server.engine.metrics.as_dict())
-        elif url.path in (
-            "/v1/select", "/v1/narrow", "/v1/reload", "/v1/ingest", "/v1/snapshot"
-        ):
-            self._send_error_json(405, f"{url.path} requires POST")
-        else:
-            self._send_error_json(404, f"unknown endpoint {url.path!r}")
-
-    def _do_reload(self) -> None:
+    def _post(self, endpoint: str, raw: bytes) -> dict:
         engine = self.server.engine
-        previous = engine.store.version
-        try:
-            body = self._read_body()
-            unknown = sorted(set(body) - {"path"})
-            if unknown:
-                raise _BadRequest(f"unknown fields: {unknown}")
-            path = body.get("path")
-            if not isinstance(path, str) or not path:
-                raise _BadRequest("field 'path' (a corpus file path) is required")
-            version = engine.reload_from_path(path)
-        except _BadRequest as exc:
-            self._send_error_json(400, str(exc))
-        except ReloadInProgress as exc:
-            self._send_error_json(409, str(exc), extra={"version": previous})
-        except CorpusValidationError as exc:
-            # Validation failed before any swap: the previous generation
-            # is still the one serving (that *is* the rollback).
-            self._send_error_json(409, str(exc), extra={"version": previous})
-        except Exception as exc:  # pragma: no cover - defensive backstop
-            self._send_error_json(500, f"{type(exc).__name__}: {exc}")
-        else:
-            self._send(200, {"version": version, "previous": previous})
+        deadline = deadline_ms(self.headers.get("X-Deadline-Ms"))
+        body = json_body(raw)
+        if endpoint == "ingest":
+            return engine.ingest_reviews(ingest_batch(body))
+        if endpoint == "snapshot":
+            return snapshot(engine)
+        if endpoint == "reload":
+            return _reload(engine, body)
+        return query(engine, endpoint, body, deadline)
 
-    def _do_ingest(self) -> None:
-        engine = self.server.engine
-        try:
-            body = self._read_body()
-            unknown = sorted(set(body) - {"reviews"})
-            if unknown:
-                raise _BadRequest(f"unknown fields: {unknown}")
-            reviews = body.get("reviews")
-            if not isinstance(reviews, list) or not reviews:
-                raise _BadRequest(
-                    "field 'reviews' (a non-empty list of review objects) "
-                    "is required"
-                )
-            if not all(isinstance(entry, dict) for entry in reviews):
-                raise _BadRequest("every entry in 'reviews' must be an object")
-            ack = engine.ingest_reviews(reviews)
-        except _BadRequest as exc:
-            self._send_error_json(400, str(exc))
-        except DeltaValidationError as exc:
-            # Duplicate review ids conflict with existing state (409);
-            # everything else is a malformed batch (400).
-            self._send_error_json(409 if exc.conflict else 400, str(exc))
-        except EngineDraining as exc:
-            self._send_error_json(
-                503, str(exc), retry_after=engine.jitter.apply(1.0)
-            )
-        except EngineClosed as exc:
-            self._send_error_json(503, str(exc))
-        except OSError as exc:
-            # WAL append failed (disk full, IO error): the delta was
-            # neither applied nor acked — safe for the client to retry.
-            self._send_error_json(
-                503,
-                f"cannot persist delta: {exc}",
-                retry_after=engine.jitter.apply(2.0),
-                extra={"reason": "wal_unavailable"},
-            )
-        except Exception as exc:  # pragma: no cover - defensive backstop
-            self._send_error_json(500, f"{type(exc).__name__}: {exc}")
-        else:
-            self._send(200, ack)
-
-    def _do_snapshot(self) -> None:
-        engine = self.server.engine
-        try:
-            info = engine.snapshot()
-        except RuntimeError as exc:
-            self._send_error_json(409, str(exc))
-        except OSError as exc:
-            self._send_error_json(
-                503,
-                f"snapshot failed: {exc}",
-                retry_after=engine.jitter.apply(2.0),
-            )
-        except Exception as exc:  # pragma: no cover - defensive backstop
-            self._send_error_json(500, f"{type(exc).__name__}: {exc}")
-        else:
-            self._send(
-                200,
-                {
-                    "path": str(info.path),
-                    "version": info.version,
-                    "wal_seq": info.wal_seq,
-                    "artifacts": info.artifacts,
-                },
-            )
+    # -- requests ------------------------------------------------------------
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        url = urlparse(self.path)
-        if url.path == "/v1/reload":
-            self._do_reload()
-            return
-        if url.path == "/v1/ingest":
-            self._do_ingest()
-            return
-        if url.path == "/v1/snapshot":
-            self._do_snapshot()
-            return
-        if url.path not in ("/v1/select", "/v1/narrow"):
-            if url.path in ("/healthz", "/metrics"):
-                self._send_error_json(405, f"{url.path} requires GET")
-            else:
-                self._send_error_json(404, f"unknown endpoint {url.path!r}")
-            return
-        narrow = url.path == "/v1/narrow"
+        """Serve one request of any method.
+
+        The announced body is read before any reply, so the next request
+        on a keep-alive connection starts on a clean stream.  A body that
+        can be neither read nor skipped (a bad or oversized
+        ``Content-Length``) is answered, then the connection closes.
+        """
         engine = self.server.engine
         try:
-            deadline_ms = self._deadline_ms()
-            request = _parse_request(self._read_body(), narrow)
-            with deadline_scope(
-                None if deadline_ms is None else deadline_ms / 1e3
-            ):
-                if narrow:
-                    response = engine.narrow(request)
-                else:
-                    response = engine.select(request)
-        except _BadRequest as exc:
-            self._send_error_json(400, str(exc))
-        except TypeError as exc:
-            self._send_error_json(400, str(exc))
-        except (InvalidRequest, UnknownTargetError, UnviableTargetError) as exc:
-            self._send_error_json(422, str(exc))
-        except Overloaded as exc:
-            self._send_error_json(
-                429, str(exc), retry_after=exc.retry_after,
-                extra={"reason": exc.reason},
-            )
-        except EngineDraining as exc:
-            self._send_error_json(
-                503, str(exc), retry_after=engine.jitter.apply(1.0)
-            )
-        except CircuitOpen as exc:
-            # Every usable backend is breaker-open; hint retry around the
-            # breaker's recovery window (jittered against retry herds).
-            self._send_error_json(
-                503, str(exc), retry_after=engine.jitter.apply(5.0),
-                extra={"reason": "circuit_open"},
-            )
-        except (DeadlineExceeded, EngineClosed) as exc:
-            self._send_error_json(503, str(exc))
-        except Exception as exc:  # pragma: no cover - defensive backstop
-            self._send_error_json(500, f"{type(exc).__name__}: {exc}")
-        else:
-            self._send(200, response.as_dict())
+            size = body_length(self.headers.get("Content-Length"))
+        except WireError as error:
+            status, payload, headers = error.reply(engine.metrics)
+            headers = {**(headers or {}), "Connection": "close"}
+            self._send(status, payload, headers=headers)
+            return
+        raw = self.rfile.read(size) if size else b""
+        url = urlparse(self.path)
+        endpoint = None
+        content, headers = JSON_TYPE, None
+        try:
+            endpoint = route(self.command, url.path)
+            if endpoint == "healthz":
+                status, payload = health(engine, self.server.started_at)
+            elif endpoint != "metrics":
+                status, payload = 200, self._post(endpoint, raw)
+            elif metrics_as_text(url.query, self.headers.get("Accept", "")):
+                status, payload = 200, engine.metrics.render_prometheus().encode()
+                content = PROMETHEUS_TYPE
+            else:
+                status, payload = 200, engine.metrics.as_dict()
+        except Exception as exc:
+            status, payload, headers = failure(
+                exc, endpoint, engine.jitter
+            ).reply(engine.metrics)
+        self._send(status, payload, content, headers)
+
+    # One path for every method: the wire table answers a GET, and a PUT,
+    # DELETE or PATCH gets its JSON 405 instead of the stdlib's 501 page.
+    do_GET = do_PUT = do_DELETE = do_PATCH = do_POST
 
 
 def make_server(

@@ -28,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -78,6 +78,41 @@ class DeltaValidationError(ValueError):
     def __init__(self, message: str, *, conflict: bool = False) -> None:
         super().__init__(message)
         self.conflict = conflict
+
+
+def check_delta(
+    reviews: Sequence[Review],
+    has_product: Callable[[str], bool],
+    known: frozenset[str],
+) -> set[str]:
+    """Refuse a delta batch at its first offending review.
+
+    ``has_product`` says whether the catalogue holds a product id, and
+    ``known`` holds the review ids already stored.  Returns the batch's
+    review ids; raises :class:`DeltaValidationError` (``conflict=True``
+    for a duplicate review id).  The cluster gateway runs the same
+    checks over its whole catalogue before it fans a delta out.
+    """
+    if not reviews:
+        raise DeltaValidationError("delta contains no reviews")
+    batch_ids: set[str] = set()
+    for review in reviews:
+        if not isinstance(review, Review):
+            raise DeltaValidationError(
+                f"delta entries must be reviews; got {type(review).__name__}"
+            )
+        if not has_product(review.product_id):
+            raise DeltaValidationError(
+                f"review {review.review_id!r} references unknown "
+                f"product {review.product_id!r}"
+            )
+        if review.review_id in known or review.review_id in batch_ids:
+            raise DeltaValidationError(
+                f"duplicate review id {review.review_id!r}",
+                conflict=True,
+            )
+        batch_ids.add(review.review_id)
+    return batch_ids
 
 
 @dataclass(frozen=True, slots=True)
@@ -519,37 +554,16 @@ class ItemStore:
     def _check_delta(
         generation: _Generation, reviews: Sequence[Review]
     ) -> tuple[frozenset[str], set[str]]:
-        """Validate a delta batch against ``generation`` without mutating.
+        """:func:`check_delta` against ``generation``, without mutating.
 
         Returns ``(known_review_ids, batch_review_ids)`` for the caller
-        to thread into the successor generation.  Raises
-        :class:`DeltaValidationError` (``conflict=True`` for duplicate
-        review ids) on the first offending review.
+        to thread into the successor generation.
         """
-        if not reviews:
-            raise DeltaValidationError("delta contains no reviews")
         corpus = generation.corpus
         known = generation.review_ids
         if known is None:
             known = frozenset(r.review_id for r in corpus.reviews)
-        batch_ids: set[str] = set()
-        for review in reviews:
-            if not isinstance(review, Review):
-                raise DeltaValidationError(
-                    f"delta entries must be reviews; got {type(review).__name__}"
-                )
-            if not corpus.has_product(review.product_id):
-                raise DeltaValidationError(
-                    f"review {review.review_id!r} references unknown "
-                    f"product {review.product_id!r}"
-                )
-            if review.review_id in known or review.review_id in batch_ids:
-                raise DeltaValidationError(
-                    f"duplicate review id {review.review_id!r}",
-                    conflict=True,
-                )
-            batch_ids.add(review.review_id)
-        return known, batch_ids
+        return known, check_delta(reviews, corpus.has_product, known)
 
     def validate_delta(self, reviews: Sequence[Review]) -> tuple[str, ...]:
         """Check a delta batch against the live generation; no mutation.

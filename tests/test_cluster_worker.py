@@ -13,13 +13,12 @@ from repro.serve.admission import AdmissionController, Overloaded
 from repro.serve.cluster import (
     AppliedDeltaSeqs,
     ShardServer,
-    classify_error,
     handle_message,
 )
 from repro.serve.cluster.proto import recv_frame, send_frame
 from repro.serve.engine import EngineDraining, SelectionEngine
-from repro.serve.http import BadRequest
 from repro.serve.store import ItemStore, UnviableTargetError
+from repro.serve.wire import BadRequest, failure
 
 
 @pytest.fixture(scope="module")
@@ -280,23 +279,27 @@ class TestClassifyError:
             (RuntimeError("boom"), False, 500),
         ]
         for exc, ingest, expected in cases:
-            reply = classify_error(exc, engine, ingest=ingest)
+            reply = failure(
+                exc, "ingest" if ingest else "select", engine.jitter
+            ).frame()
             assert reply["status"] == expected, exc
 
     def test_overload_carries_retry_hint_and_reason(self, engine):
-        reply = classify_error(
+        reply = failure(
             Overloaded("full", retry_after=0.25, reason="queue_full"),
-            engine,
-            ingest=False,
-        )
+            "select",
+            engine.jitter,
+        ).frame()
         assert reply["retry_after"] == 0.25
         assert reply["extra"] == {"reason": "queue_full"}
 
     def test_ingest_oserror_is_wal_unavailable(self, engine):
-        reply = classify_error(OSError("no space"), engine, ingest=True)
+        reply = failure(OSError("no space"), "ingest", engine.jitter).frame()
         assert reply["extra"] == {"reason": "wal_unavailable"}
         # A query-path OSError has no WAL involved: backstop 500.
-        assert classify_error(OSError("x"), engine, ingest=False)["status"] == 500
+        assert (
+            failure(OSError("x"), "select", engine.jitter).frame()["status"] == 500
+        )
 
 
 class TestShardServer:

@@ -10,6 +10,7 @@ shard into 503 + Retry-After for that shard's targets only.
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 import threading
 import time
@@ -29,6 +30,7 @@ from repro.serve.cluster import (
     HintQueue,
     ServingCluster,
     ShardClient,
+    handle_message,
     partition_corpus,
 )
 from repro.serve.cluster.proto import (
@@ -36,11 +38,12 @@ from repro.serve.cluster.proto import (
     read_frame_async,
     write_frame_async,
 )
-from repro.serve.engine import SelectionEngine
+from repro.serve.engine import SelectionEngine, build_durable_engine
 from repro.serve.http import make_server
 from repro.serve.store import ItemStore
 from repro.serve.supervisor import RestartPolicy
 from repro.serve.wal import WriteAheadLog
+from tests.test_serve_http import RequestEdgeChecks, connect, exchange
 
 SHARDS = 4
 
@@ -141,7 +144,9 @@ class TestByteIdentity:
                 checked += 1
         assert checked == 18
 
-    def test_error_responses_match_single_process(self, cluster, single_base):
+    def test_error_responses_match_single_process(
+        self, cluster, single_base, corpus
+    ):
         for path, body in (
             ("/v1/select", {"target": "NOPE"}),
             ("/v1/select", {"bogus": 1}),
@@ -154,6 +159,55 @@ class TestByteIdentity:
             cluster_status, cluster_body = _post(cluster.base_url, path, body)
             assert single_status == cluster_status, (path, body)
             assert single_body["error"] == cluster_body["error"], (path, body)
+            assert single_body == cluster_body, (path, body)
+        # One request per reachable row of the wire's error table, each
+        # front end over one keep-alive connection: the whole body and
+        # the Retry-After header must match.
+        product = corpus.products[0].product_id
+        duplicate = {"review_id": "PARITY-DUP", "product_id": product}
+        cases = [
+            ("POST", "/v1/select", b'{"m": 2}', {"X-Deadline-Ms": "soon"}),
+            ("POST", "/v1/select", b'{"m": 2}', {"X-Deadline-Ms": "nan"}),
+            ("POST", "/v1/select", b'{"m": 2}', {"X-Deadline-Ms": "inf"}),
+            ("POST", "/v1/select", b"{not json", {}),
+            ("POST", "/v1/select", b"\xff\xfe", {}),
+            ("POST", "/v1/select", b"[1, 2]", {}),
+            ("POST", "/v1/select", b'{"bogus": 1}', {}),
+            ("POST", "/v1/select", b'{"m": 0}', {}),
+            ("POST", "/v1/select", b'{"max_comparisons": 0}', {}),
+            ("POST", "/v1/select", b'{"target": "NOPE"}', {}),
+            ("POST", "/v1/narrow", b'{"stages": ["nope"]}', {}),
+            ("GET", "/nope", b"", {}),
+            ("POST", "/nope", b"{}", {}),
+            ("GET", "/v1/select", b"", {}),
+            ("POST", "/metrics", b"{}", {}),
+            ("PUT", "/v1/select", b"{}", {}),
+            (
+                "POST", "/v1/ingest",
+                json.dumps(
+                    {"reviews": [{"review_id": "X", "product_id": "NOPE"}]}
+                ).encode(),
+                {},
+            ),
+            (
+                "POST", "/v1/ingest",
+                json.dumps({"reviews": [duplicate, duplicate]}).encode(),
+                {},
+            ),
+            ("POST", "/v1/ingest", b'{"reviews": [], "extra": 1}', {}),
+        ]
+        single_conn, cluster_conn = connect(single_base), connect(cluster.base_url)
+        try:
+            for case in cases:
+                single = exchange(single_conn, *case)
+                clustered = exchange(cluster_conn, *case)
+                assert single.status == clustered.status, case
+                assert 400 <= single.status < 500, case
+                assert single.json() == clustered.json(), case
+                assert single.retry_after == clustered.retry_after, case
+        finally:
+            single_conn.close()
+            cluster_conn.close()
 
 
 class TestGatewayEndpoints:
@@ -236,6 +290,12 @@ class TestGatewayEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+
+
+class TestGatewayRequestEdges(RequestEdgeChecks):
+    @pytest.fixture()
+    def base(self, cluster):
+        return cluster.base_url
 
 
 class TestShardFailover:
@@ -339,6 +399,36 @@ class TestGatewayUnits:
         assert payload["reason"] == "shard_unavailable"
         assert headers and "Retry-After" in headers
 
+    def test_failed_snapshot_is_the_single_process_503(
+        self, parts, corpus_path, tmp_path, monkeypatch
+    ):
+        """A shard's disk-full snapshot relays with its Retry-After."""
+        corpus, plan, ring, _clients = parts
+        engine = build_durable_engine(tmp_path, corpus_path=corpus_path)
+
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(engine.snapshots, "save", disk_full)
+        server = make_server(engine, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            conn = connect(f"http://127.0.0.1:{server.server_address[1]}")
+            single = exchange(conn, "POST", "/v1/snapshot")
+            conn.close()
+            frame = handle_message(engine, {"op": "snapshot"})
+        finally:
+            server.shutdown()
+            server.server_close()
+            engine.close()
+        gateway = ClusterGateway(corpus, plan, ring, [_RepliesWith(frame)])
+        status, payload, headers = asyncio.run(gateway._handle_snapshot())
+        assert single.status == status == 503
+        assert single.retry_after == headers["Retry-After"] == "2"
+        assert payload == {**single.json(), "shard": 0}
+        assert payload["error"].startswith("snapshot failed: ")
+
     def test_hints_without_journal_are_rejected(self, parts, tmp_path):
         """A hint needs the journal's delta_seq to replay idempotently."""
         corpus, plan, ring, clients = parts
@@ -346,6 +436,19 @@ class TestGatewayUnits:
         with pytest.raises(ValueError, match="journal"):
             ClusterGateway(corpus, plan, ring, clients, hints=hints)
         hints.close()
+
+
+class _RepliesWith:
+    """A :class:`ShardClient` stand-in answering every frame with ``reply``."""
+
+    def __init__(self, reply: dict) -> None:
+        self.reply = reply
+
+    async def request(self, message: dict, timeout: float | None = None) -> dict:
+        return self.reply
+
+    async def aclose(self) -> None:
+        pass
 
 
 def _review_record(product_id: str, review_id: str) -> dict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from concurrent.futures import Future
 
 import pytest
 
@@ -153,6 +154,19 @@ class TestNarrow:
         assert second.result == first.result
 
 
+class _FinishedFirst:
+    """A worker pool whose every solve is done before the caller waits."""
+
+    def __init__(self) -> None:
+        self.solves = 0
+
+    def submit(self, fn, *args) -> Future:
+        self.solves += 1
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestDeadlines:
     def test_expired_deadline_maps_to_deadline_exceeded(self, store):
         engine = SelectionEngine(store, cache_size=4, workers=1)
@@ -171,6 +185,36 @@ class TestDeadlines:
             with deadline_scope(0.0):
                 with pytest.raises(DeadlineExceeded):
                     engine.select(SelectRequest(m=5, algorithm="CompaReSetS"))
+        finally:
+            engine.close()
+
+    def test_expired_deadline_never_starts_a_solve(self, store):
+        """A solve that would finish before the 0 s wait must not start."""
+        engine = SelectionEngine(store, cache_size=4, workers=1)
+        pool, engine._pool = engine._pool, _FinishedFirst()
+        try:
+            engine.select(SelectRequest(m=3))  # a warm store: one solve
+            for i in range(50):
+                # A new mu each time: a cache miss, never a cached hit.
+                with deadline_scope(0.0):
+                    with pytest.raises(DeadlineExceeded):
+                        engine.select(SelectRequest(m=3, mu=0.2 + i / 1000))
+            assert engine._pool.solves == 1
+        finally:
+            engine._pool = pool
+            engine.close()
+
+    def test_expired_deadline_never_joins_a_batch(self, store):
+        engine = SelectionEngine(
+            store, cache_size=4, workers=1, batch_window=0.002
+        )
+        try:
+            engine.select(SelectRequest(m=3))
+            for i in range(50):
+                with deadline_scope(0.0):
+                    with pytest.raises(DeadlineExceeded):
+                        engine.select(SelectRequest(m=3, mu=0.2 + i / 1000))
+            assert engine.batcher.stats().submitted == 1
         finally:
             engine.close()
 

@@ -7,11 +7,15 @@ exercises minus the argv parsing.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
+from typing import NamedTuple
+from urllib.parse import urlparse
 
 import pytest
 
@@ -24,6 +28,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.engine import SelectionEngine, selection_payload
 from repro.serve.http import encode_json, make_server
 from repro.serve.store import ItemStore
+from repro.serve.wire import MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +205,143 @@ class TestErrorMapping:
     def test_get_on_select_is_405(self, served):
         base, _ = served
         assert _status_of(lambda: _get(f"{base}/v1/select")) == 405
+
+
+class Reply(NamedTuple):
+    status: int
+    content_type: str | None
+    retry_after: str | None
+    body: bytes
+
+    def json(self):
+        return json.loads(self.body)
+
+
+def connect(base: str) -> http.client.HTTPConnection:
+    """One keep-alive connection to the server at ``base``."""
+    url = urlparse(base)
+    return http.client.HTTPConnection(url.hostname, url.port, timeout=60)
+
+
+def exchange(
+    conn: http.client.HTTPConnection,
+    method: str,
+    path: str,
+    body: bytes = b"",
+    headers: dict | None = None,
+) -> Reply:
+    """One request on ``conn``; the connection stays open for the next."""
+    conn.request(method, path, body=body, headers=headers or {})
+    response = conn.getresponse()
+    return Reply(
+        response.status,
+        response.getheader("Content-Type"),
+        response.getheader("Retry-After"),
+        response.read(),
+    )
+
+
+def raw_exchange(base: str, request: bytes) -> tuple[bytes, bytes]:
+    """Send raw bytes; the reply's head and body once the server hangs up."""
+    url = urlparse(base)
+    with socket.create_connection((url.hostname, url.port), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return head, body
+
+
+class RequestEdgeChecks:
+    """Request edges that both front ends must answer alike.
+
+    A subclass supplies the ``base`` URL fixture: this module runs the
+    checks against the single-process server, and
+    ``tests/test_serve_cluster.py`` against the cluster gateway.
+    """
+
+    def test_error_replies_leave_the_connection_usable(self, base):
+        conn = connect(base)
+        try:
+            assert exchange(
+                conn, "POST", "/v1/select", b'{"m": 2}', {"X-Deadline-Ms": "soon"}
+            ).status == 400
+            snapshot = exchange(conn, "POST", "/v1/snapshot", b'{"note": "x"}')
+            assert snapshot.status in (200, 409)  # 409: no state dir
+            assert snapshot.content_type == "application/json"
+            assert exchange(conn, "POST", "/healthz", b'{"m": 2}').status == 405
+            reply = exchange(conn, "POST", "/v1/select", b'{"m": 2}')
+        finally:
+            conn.close()
+        assert reply.status == 200
+        assert reply.content_type == "application/json"
+        assert reply.json()["result"]["selections"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "0"])
+    def test_deadline_must_be_positive_and_finite(self, base, value):
+        conn = connect(base)
+        try:
+            reply = exchange(
+                conn, "POST", "/v1/select", b'{"m": 2}', {"X-Deadline-Ms": value}
+            )
+        finally:
+            conn.close()
+        assert reply.status == 400
+        assert reply.json()["error"].startswith("X-Deadline-Ms must be")
+
+    def test_oversized_body_is_413_then_close(self, base):
+        head, body = raw_exchange(
+            base,
+            b"POST /v1/select HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 1000000000000\r\n\r\n",
+        )
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body) == {
+            "error": f"body of {10**12} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit",
+            "status": 413,
+        }
+
+    def test_unreadable_content_length_is_400_then_close(self, base):
+        head, body = raw_exchange(
+            base,
+            b"POST /v1/select HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: lots\r\n\r\n",
+        )
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body) == {
+            "error": "invalid Content-Length: 'lots'", "status": 400,
+        }
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH"])
+    def test_other_methods_are_405_json(self, base, method):
+        conn = connect(base)
+        try:
+            reply = exchange(conn, method, "/v1/select", b"{}")
+        finally:
+            conn.close()
+        assert reply.status == 405
+        assert reply.content_type == "application/json"
+        assert reply.json() == {
+            "error": f"method {method} is not supported", "status": 405,
+        }
+
+    def test_undecodable_body_is_400(self, base):
+        conn = connect(base)
+        try:
+            reply = exchange(conn, "POST", "/v1/select", b"\xff\xfe\xfd")
+        finally:
+            conn.close()
+        assert reply.status == 400
+        assert reply.json()["error"].startswith("invalid JSON body")
+
+
+class TestRequestEdges(RequestEdgeChecks):
+    @pytest.fixture()
+    def base(self, served):
+        return served[0]
 
 
 class TestMetricsEndpoint:
