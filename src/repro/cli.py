@@ -77,7 +77,7 @@ def _load_corpus_checked(path: str):
         raise _fail_usage(f"corpus file not found: {path}") from None
     except IsADirectoryError:
         raise _fail_usage(f"corpus path is a directory: {path}") from None
-    except (ValueError, KeyError, OSError, UnicodeDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         raise _fail_usage(f"corpus file {path} is corrupt: {exc}") from None
 
 

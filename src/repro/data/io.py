@@ -2,8 +2,9 @@
 
 Format: one JSON object per line.  The first line is a header record
 (``{"kind": "header", ...}``), followed by product records and review
-records.  The format round-trips everything in the data model and is easy
-to produce from the real Amazon dataset with a short conversion script.
+records: :mod:`repro.data.codec`'s records, tagged with their ``kind``.
+The format round-trips everything in the data model and is easy to
+produce from the real Amazon dataset with a short conversion script.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.data.codec import CodecError, product_from_record, product_record
+from repro.data.codec import review_from_record, review_record
 from repro.data.corpus import Corpus
-from repro.data.models import AspectMention, Product, Review
 
 _FORMAT_VERSION = 1
 
@@ -24,81 +26,46 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         header = {"kind": "header", "version": _FORMAT_VERSION, "name": corpus.name}
         handle.write(json.dumps(header) + "\n")
         for product in corpus.products:
-            record = {
-                "kind": "product",
-                "product_id": product.product_id,
-                "title": product.title,
-                "category": product.category,
-                "also_bought": list(product.also_bought),
-            }
+            record = {"kind": "product", **product_record(product)}
             handle.write(json.dumps(record) + "\n")
         for review in corpus.reviews:
-            record = {
-                "kind": "review",
-                "review_id": review.review_id,
-                "product_id": review.product_id,
-                "reviewer_id": review.reviewer_id,
-                "rating": review.rating,
-                "text": review.text,
-                "mentions": [
-                    {"aspect": m.aspect, "sentiment": m.sentiment, "strength": m.strength}
-                    for m in review.mentions
-                ],
-            }
+            record = {"kind": "review", **review_record(review)}
             handle.write(json.dumps(record) + "\n")
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Load a corpus previously written by :func:`save_corpus`."""
+    """Load a corpus previously written by :func:`save_corpus`.
+
+    A line that does not decode raises :class:`CodecError` naming the
+    path and line.
+    """
     path = Path(path)
     name = path.stem
-    products: list[Product] = []
-    reviews: list[Review] = []
+    products = []
+    reviews = []
     with path.open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
-            kind = record.get("kind")
-            if kind == "header":
-                version = record.get("version")
-                if version != _FORMAT_VERSION:
-                    raise ValueError(
-                        f"{path}: unsupported corpus format version {version!r}"
-                    )
-                name = record.get("name", name)
-            elif kind == "product":
-                products.append(
-                    Product(
-                        product_id=record["product_id"],
-                        title=record["title"],
-                        category=record["category"],
-                        also_bought=tuple(record.get("also_bought", ())),
-                    )
-                )
-            elif kind == "review":
-                mentions = tuple(
-                    AspectMention(
-                        aspect=m["aspect"],
-                        sentiment=int(m["sentiment"]),
-                        strength=float(m.get("strength", 1.0)),
-                    )
-                    for m in record.get("mentions", ())
-                )
-                reviews.append(
-                    Review(
-                        review_id=record["review_id"],
-                        product_id=record["product_id"],
-                        reviewer_id=record["reviewer_id"],
-                        rating=float(record["rating"]),
-                        text=record["text"],
-                        mentions=mentions,
-                    )
-                )
-            else:
-                raise ValueError(f"{path}:{line_number}: unknown record kind {kind!r}")
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise CodecError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
+            kind = record.get("kind") if isinstance(record, dict) else None
+            try:
+                if kind == "header":
+                    if record.get("version") != _FORMAT_VERSION:
+                        raise CodecError(
+                            "unsupported corpus format version "
+                            f"{record.get('version')!r}"
+                        )
+                    name = record.get("name", name)
+                elif kind == "product":
+                    products.append(product_from_record(record))
+                elif kind == "review":
+                    reviews.append(review_from_record(record))
+                else:
+                    raise CodecError(f"unknown record kind {kind!r}")
+            except CodecError as exc:
+                raise CodecError(f"{path}:{line_number}: {exc}") from exc
     return Corpus(name=name, products=products, reviews=reviews)

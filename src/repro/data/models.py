@@ -9,6 +9,7 @@ text, matching the paper's "we consider them as given" stance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -29,8 +30,8 @@ class AspectMention:
     def __post_init__(self) -> None:
         if self.sentiment not in (-1, 0, 1):
             raise ValueError(f"sentiment must be -1, 0, or +1; got {self.sentiment}")
-        if self.strength < 0:
-            raise ValueError(f"strength must be non-negative; got {self.strength}")
+        if not 0 <= self.strength < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"strength must be finite and >= 0; got {self.strength}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,8 +46,8 @@ class Review:
     mentions: tuple[AspectMention, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.review_id:
-            raise ValueError("review_id must be non-empty")
+        if not (self.review_id and self.product_id):
+            raise ValueError("review_id and product_id must be non-empty")
         if not (0.0 <= self.rating <= 5.0):
             raise ValueError(f"rating must be in [0, 5]; got {self.rating}")
 

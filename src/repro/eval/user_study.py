@@ -31,7 +31,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.problem import SelectionConfig
-from repro.core.selection import SelectionResult, build_space
+from repro.core.selection import SelectionResult
 from repro.eval.alignment import among_items_alignment
 from repro.eval.information_loss import measure_result
 from repro.eval.stats import krippendorff_alpha

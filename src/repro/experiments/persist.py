@@ -16,7 +16,7 @@ truncated envelope behind.
 
 Checkpoint/resume
 -----------------
-:class:`ResultJournal` is an append-only JSONL journal of completed
+:class:`ResultJournal` is an append-only, checksummed journal of completed
 per-instance :class:`~repro.core.selection.SelectionResult`\\ s.  The
 experiment runner (:func:`repro.eval.runner.run_selector`) streams every
 finished instance to the active journal — together with the
@@ -36,7 +36,6 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 from collections.abc import Iterator
@@ -45,8 +44,9 @@ import numpy as np
 
 from repro.core.selection import SelectionResult
 from repro.resilience.atomicio import atomic_write_text
+from repro.data.codec import product_from_record, product_record
+from repro.data.codec import review_from_record, review_record
 from repro.data.instances import ComparisonInstance
-from repro.data.models import AspectMention, Product, Review
 
 if TYPE_CHECKING:  # runner imports this module lazily; avoid the cycle
     from repro.eval.runner import EvaluationSettings
@@ -128,69 +128,18 @@ def result_record(result: SelectionResult) -> dict:
         "algorithm": result.algorithm,
         "degraded": result.degraded,
         "selections": [list(s) for s in result.selections],
-        "products": [
-            {
-                "product_id": p.product_id,
-                "title": p.title,
-                "category": p.category,
-                "also_bought": list(p.also_bought),
-            }
-            for p in instance.products
-        ],
+        "products": [product_record(p) for p in instance.products],
         "reviews": [
-            [
-                {
-                    "review_id": r.review_id,
-                    "product_id": r.product_id,
-                    "reviewer_id": r.reviewer_id,
-                    "rating": r.rating,
-                    "text": r.text,
-                    "mentions": [
-                        {
-                            "aspect": m.aspect,
-                            "sentiment": m.sentiment,
-                            "strength": m.strength,
-                        }
-                        for m in r.mentions
-                    ],
-                }
-                for r in review_set
-            ]
-            for review_set in instance.reviews
+            [review_record(r) for r in review_set] for review_set in instance.reviews
         ],
     }
 
 
 def result_from_record(record: dict) -> SelectionResult:
     """Rebuild a SelectionResult written by :func:`result_record`."""
-    products = tuple(
-        Product(
-            product_id=p["product_id"],
-            title=p["title"],
-            category=p["category"],
-            also_bought=tuple(p.get("also_bought", ())),
-        )
-        for p in record["products"]
-    )
+    products = tuple(product_from_record(p) for p in record["products"])
     reviews = tuple(
-        tuple(
-            Review(
-                review_id=r["review_id"],
-                product_id=r["product_id"],
-                reviewer_id=r["reviewer_id"],
-                rating=float(r["rating"]),
-                text=r["text"],
-                mentions=tuple(
-                    AspectMention(
-                        aspect=m["aspect"],
-                        sentiment=int(m["sentiment"]),
-                        strength=float(m.get("strength", 1.0)),
-                    )
-                    for m in r.get("mentions", ())
-                ),
-            )
-            for r in review_set
-        )
+        tuple(review_from_record(r) for r in review_set)
         for review_set in record["reviews"]
     )
     return SelectionResult(
@@ -242,40 +191,26 @@ def run_key(
 
 
 class ResultJournal:
-    """Append-only JSONL journal of completed per-instance results.
+    """Append-only journal of completed per-instance results.
 
-    Each ``append`` writes one line and flushes + fsyncs it, so every
-    completed instance survives a crash.  Loading tolerates a torn final
-    line (the signature of a crash mid-append): it is ignored, and the
-    run simply redoes that one instance.
+    A client of the serving write-ahead log, so each record is length-
+    and CRC32-framed, and ``append`` returns once it is fsynced.  Opening
+    truncates a torn final record (the signature of a crash mid-append;
+    the run redoes that one instance) and raises
+    :class:`~repro.serve.wal.WALCorruptError` on damage before the tail,
+    leaving the file as it was.  The first record is a header that
+    carries the journal version.
     """
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._entries: dict[tuple[str, int], dict] = {}
-        self._load()
-        self._handle = None
+        # Imported here: run_selector imports this module in processes
+        # that never open a journal, and repro.serve is costly to load.
+        from repro.serve.wal import WriteAheadLog
 
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        for line_number, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # A torn trailing line from a crash mid-append is
-                # expected; anything torn *before* the end means the
-                # file was mangled by something else.
-                if any(rest.strip() for rest in lines[line_number:]):
-                    raise ValueError(
-                        f"{self.path}:{line_number}: corrupt journal line "
-                        "followed by more data"
-                    ) from None
-                return
+        self.path = Path(path)
+        self._log = WriteAheadLog(self.path)
+        self._entries: dict[tuple[str, int], dict] = {}
+        for seq, record in self._log.replay():
             kind = record.get("kind")
             if kind == "header":
                 version = record.get("version")
@@ -287,23 +222,9 @@ class ResultJournal:
                 self._entries[(record["key"], int(record["index"]))] = record
             else:
                 raise ValueError(
-                    f"{self.path}:{line_number}: unknown journal record "
-                    f"kind {kind!r}"
+                    f"{self.path}: unknown journal record kind {kind!r} "
+                    f"at seq {seq}"
                 )
-
-    def _open_for_append(self):
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            new_file = not self.path.exists() or self.path.stat().st_size == 0
-            self._handle = self.path.open("a", encoding="utf-8")
-            if new_file:
-                self._write_line({"kind": "header", "version": _JOURNAL_VERSION})
-        return self._handle
-
-    def _write_line(self, record: dict) -> None:
-        self._handle.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -344,14 +265,13 @@ class ResultJournal:
             "rng_state": _jsonable(rng_state),
             "result": result_record(result),
         }
-        self._open_for_append()
-        self._write_line(record)
+        if not len(self._log):
+            self._log.append({"kind": "header", "version": _JOURNAL_VERSION})
+        self._log.append(record)
         self._entries[(key, index)] = record
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
     def __enter__(self) -> "ResultJournal":
         return self

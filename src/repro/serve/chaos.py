@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import os
 import tempfile
 import threading
 import time
@@ -48,6 +47,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.data.codec import review_record
 from repro.data.io import save_corpus
 from repro.data.models import Review
 from repro.data.synthetic import generate_corpus
@@ -57,7 +57,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.engine import SelectionEngine
 from repro.serve.http import make_server
 from repro.serve.store import ItemStore
-from repro.serve.wal import WriteAheadLog, review_record
+from repro.serve.wal import WriteAheadLog
 
 #: Statuses the serving layer is allowed to answer under chaos.
 _EXPECTED_STATUSES = frozenset({200, 429, 503})

@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from http.client import responses as _HTTP_REASONS
 from urllib.parse import urlparse
 
+from repro.data.codec import review_from_record
 from repro.data.corpus import Corpus
 from repro.data.instances import build_instance
 from repro.serve.admission import AdmissionController, Overloaded, request_cost
@@ -79,7 +80,7 @@ from repro.serve.store import (
     UnviableTargetError,
     check_delta,
 )
-from repro.serve.wal import WriteAheadLog, review_from_record
+from repro.serve.wal import WriteAheadLog
 from repro.serve.wire import (
     JSON_TYPE,
     PROMETHEUS_TYPE,

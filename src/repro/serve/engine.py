@@ -26,6 +26,7 @@ as the HTTP server uses it; no sockets are involved until
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from collections.abc import Mapping, Sequence
@@ -40,6 +41,7 @@ from repro.core.compare_sets_plus import CompareSetsPlusSelector
 from repro.core.problem import SelectionConfig
 from repro.core.selection import SELECTORS, SelectionResult, make_selector
 from repro.core.vectors import OpinionScheme
+from repro.data.codec import review_from_record, review_record
 from repro.data.io import load_corpus
 from repro.graph.similarity import build_item_graph
 from repro.resilience.deadline import Deadline, DeadlineExceeded, resolve_deadline
@@ -64,7 +66,7 @@ from repro.serve.store import (
     InstanceArtifacts,
     ItemStore,
 )
-from repro.serve.wal import WriteAheadLog, review_from_record, review_record
+from repro.serve.wal import WriteAheadLog
 
 _RECOVERY_MODE_CODES = {"cold": 0, "cold+wal": 1, "snapshot": 2, "snapshot+wal": 3}
 
@@ -86,6 +88,9 @@ _SCHEMES = {scheme.value: scheme for scheme in OpinionScheme}
 #: Registered selectors a request may not name: the brute force enumerates
 #: up to millions of subsets per item and would hold a worker for seconds.
 UNSERVED_ALGORITHMS = frozenset({"CompaReSetS_Exhaustive"})
+
+#: The largest lam or mu: the selectors square both.
+_MAX_WEIGHT = sys.float_info.max**0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,8 +114,9 @@ class SelectRequest:
         """Raise :class:`InvalidRequest` on semantic errors."""
         if self.m < 1:
             raise InvalidRequest(f"m must be >= 1, got {self.m}")
-        if self.lam < 0 or self.mu < 0:
-            raise InvalidRequest("lam and mu must be >= 0")
+        # Comparisons, so NaN fails them and a huge int cannot overflow.
+        if not (0 <= self.lam <= _MAX_WEIGHT and 0 <= self.mu <= _MAX_WEIGHT):
+            raise InvalidRequest(f"lam and mu must be in [0, {_MAX_WEIGHT:.4g}]")
         if self.scheme not in _SCHEMES:
             raise InvalidRequest(
                 f"unknown scheme {self.scheme!r}; one of {sorted(_SCHEMES)}"
@@ -154,8 +160,10 @@ class NarrowRequest(SelectRequest):
         SelectRequest.validated(self)
         if self.k < 1:
             raise InvalidRequest(f"k must be >= 1, got {self.k}")
-        if self.time_limit <= 0:
-            raise InvalidRequest(f"time_limit must be positive, got {self.time_limit}")
+        if not 0 < self.time_limit <= sys.float_info.max:
+            raise InvalidRequest(
+                f"time_limit must be positive and finite, got {self.time_limit}"
+            )
         if not self.stages:
             raise InvalidRequest("stages must not be empty")
         return self
@@ -670,7 +678,7 @@ class SelectionEngine:
         """
         try:
             corpus = load_corpus(path)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             raise CorpusValidationError(
                 f"cannot load corpus from {str(path)!r}: {exc}"
             ) from exc
@@ -708,7 +716,7 @@ class SelectionEngine:
             raise EngineClosed("engine is closed")
         try:
             reviews = [review_from_record(record) for record in records]
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise DeltaValidationError(str(exc)) from exc
         with self._ingest_lock:
             self.store.validate_delta(reviews)

@@ -43,12 +43,13 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.data.codec import review_from_record
 from repro.data.corpus import Corpus
 from repro.data.io import load_corpus
 from repro.core.vectors import OpinionScheme
 from repro.resilience.atomicio import checksum, fsync_directory
 from repro.serve.store import ItemStore
-from repro.serve.wal import WriteAheadLog, review_from_record
+from repro.serve.wal import WriteAheadLog
 
 _MANIFEST = "MANIFEST.json"
 _CORPUS = "corpus.pkl"

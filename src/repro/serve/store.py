@@ -601,6 +601,10 @@ class ItemStore:
         Returns ``(patched, rebuilt, verify_failures)``.
         """
         corpus = old.corpus
+        # Readers still memoise into the old generation under the lock.
+        with self._lock:
+            old_instances = list(old.instances.items())
+            old_artifacts = list(old.artifacts.items())
         safe_targets: dict[str, bool] = {}
 
         def target_safe(target_id: str) -> bool:
@@ -619,13 +623,13 @@ class ItemStore:
             safe_targets[target_id] = safe
             return safe
 
-        for key, instance in old.instances.items():
+        for key, instance in old_instances:
             if target_safe(key.target):
                 new.instances[key] = instance
 
         patched = rebuilt = verify_failures = 0
         instances: dict[_InstanceKey, ComparisonInstance | None] = {}
-        for art_key, artifacts in old.artifacts.items():
+        for art_key, artifacts in old_artifacts:
             key = art_key.instance_key
             if target_safe(key.target):
                 new.artifacts[art_key] = dataclasses.replace(

@@ -39,53 +39,13 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.data.models import AspectMention, Review
-from repro.resilience.atomicio import checksum, fsync_directory
+# Delta payloads hold reviews as corpus records; the codec is importable
+# from here as well as from its home.
+from repro.data.codec import review_from_record as review_from_record
+from repro.data.codec import review_record as review_record
+from repro.resilience.atomicio import atomic_write_bytes, checksum
 
 _SEPARATOR = b"|"
-
-
-def review_record(review: Review) -> dict:
-    """A JSON-ready dict that round-trips one Review (WAL delta payloads)."""
-    return {
-        "review_id": review.review_id,
-        "product_id": review.product_id,
-        "reviewer_id": review.reviewer_id,
-        "rating": review.rating,
-        "text": review.text,
-        "mentions": [
-            {"aspect": m.aspect, "sentiment": m.sentiment, "strength": m.strength}
-            for m in review.mentions
-        ],
-    }
-
-
-def review_from_record(record: dict) -> Review:
-    """Rebuild a Review written by :func:`review_record`.
-
-    Raises ``ValueError`` (not KeyError/TypeError) on malformed input so
-    the HTTP layer can map bad ingest bodies to 400.
-    """
-    if not isinstance(record, dict):
-        raise ValueError(f"review record must be an object; got {type(record).__name__}")
-    try:
-        return Review(
-            review_id=str(record["review_id"]),
-            product_id=str(record["product_id"]),
-            reviewer_id=str(record.get("reviewer_id", "")),
-            rating=float(record.get("rating", 0.0)),
-            text=str(record.get("text", "")),
-            mentions=tuple(
-                AspectMention(
-                    aspect=str(m["aspect"]),
-                    sentiment=int(m.get("sentiment", 0)),
-                    strength=float(m.get("strength", 1.0)),
-                )
-                for m in record.get("mentions", ())
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed review record: {exc}") from exc
 
 
 class WALError(RuntimeError):
@@ -208,11 +168,12 @@ class WriteAheadLog:
             return None
         try:
             payload = json.loads(body)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON or UTF-8, or too deep
             return None
-        if not isinstance(payload, dict) or "seq" not in payload:
+        # A seq that is no int (a float, a bool, a string, null) is damage.
+        if not isinstance(payload, dict) or type(payload.get("seq")) is not int:
             return None
-        return int(payload["seq"]), payload, body_end + 1
+        return payload["seq"], payload, body_end + 1
 
     # -- append path ---------------------------------------------------------
 
@@ -300,13 +261,7 @@ class WriteAheadLog:
                 self._handle.close()
                 self._handle = None
             data = b"".join(_encode_record(p) for _, p in keep)
-            tmp = self.path.with_suffix(self.path.suffix + ".compact")
-            with tmp.open("wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-            fsync_directory(self.path.parent)
+            atomic_write_bytes(self.path, data)
             # Sequence numbering continues past the snapshot watermark
             # even when the log empties out entirely.
             self._seq_floor = max(

@@ -4,7 +4,6 @@ import pytest
 
 from repro.data.models import Review
 from repro.text.aspects import (
-    AspectVocabulary,
     aspect_index,
     candidate_tokens,
     mine_aspects,

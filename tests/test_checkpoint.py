@@ -18,6 +18,7 @@ from repro.experiments.persist import (
     _jsonable,
 )
 from repro.resilience.faults import FaultInjectingSelector, InjectedFault
+from repro.serve.wal import WALCorruptError, WriteAheadLog
 
 
 @pytest.fixture()
@@ -88,6 +89,13 @@ class TestRunKey:
         )
 
 
+def _tear_last_record(path) -> None:
+    """Chop the journal's last record in half, as a crash mid-append would."""
+    raw = path.read_bytes()
+    last = raw.rstrip(b"\n").rfind(b"\n") + 1
+    path.write_bytes(raw[: last + (len(raw) - last) // 2])
+
+
 class TestResultJournal:
     def test_append_then_reload(self, tmp_path, greedy_result):
         path = tmp_path / "journal.jsonl"
@@ -130,19 +138,55 @@ class TestResultJournal:
         assert len(survivor) == 1
         assert ("run-a", 0) in survivor
 
+    def test_appends_after_a_torn_tail_all_reopen(self, tmp_path, greedy_result):
+        path = tmp_path / "journal.jsonl"
+        with ResultJournal(path) as journal:
+            journal.append("run-a", 0, greedy_result, 0.1)
+            journal.append("run-a", 1, greedy_result, 0.1)
+        _tear_last_record(path)
+        with ResultJournal(path) as resumed:
+            assert len(resumed) == 1
+            resumed.append("run-a", 1, greedy_result, 0.2)
+            resumed.append("run-a", 2, greedy_result, 0.3)
+        reopened = ResultJournal(path)
+        assert len(reopened) == 3
+        for index, seconds in enumerate((0.1, 0.2, 0.3)):
+            entry = reopened.get("run-a", index)
+            assert entry.result == greedy_result
+            assert entry.seconds == seconds
+
     def test_corrupt_interior_line_raises(self, tmp_path, greedy_result):
         path = tmp_path / "journal.jsonl"
         with ResultJournal(path) as journal:
             journal.append("run-a", 0, greedy_result, 0.1)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines.insert(1, '{"kind": "entry", truncated')
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="corrupt journal line"):
+        raw = bytearray(path.read_bytes())
+        # Flip a byte inside the header record: damage followed by data.
+        raw[raw.index(b"header")] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(WALCorruptError, match="not a torn tail"):
             ResultJournal(path)
+        assert path.read_bytes() == bytes(raw)
+
+    def test_bare_jsonl_journal_is_refused_untouched(self, tmp_path, greedy_result):
+        # The unframed layout journals used to have: one JSON object a line.
+        path = tmp_path / "journal.jsonl"
+        entry = {
+            "kind": "entry", "key": "run-a", "index": 0, "seconds": 0.1,
+            "rng_state": None, "result": result_record(greedy_result),
+        }
+        path.write_text(
+            '{"kind":"header","version":1}\n' + json.dumps(entry) + "\n",
+            encoding="utf-8",
+        )
+        before = path.read_bytes()
+        with pytest.raises(WALCorruptError):
+            ResultJournal(path)
+        assert path.read_bytes() == before
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        path.write_text('{"kind": "header", "version": 99}\n')
+        with WriteAheadLog(path) as log:
+            log.append({"kind": "header", "version": 99})
         with pytest.raises(ValueError, match="unsupported journal version"):
             ResultJournal(path)
 
@@ -154,10 +198,7 @@ class TestResultJournal:
             journal.append("run-a", 0, greedy_result, 0.1)
         with ResultJournal(path) as journal:
             journal.append("run-a", 1, greedy_result, 0.1)
-        kinds = [
-            json.loads(line)["kind"]
-            for line in path.read_text(encoding="utf-8").splitlines()
-        ]
+        kinds = [record["kind"] for _, record in WriteAheadLog(path).replay()]
         assert kinds == ["header", "entry", "entry"]
 
 
@@ -199,6 +240,32 @@ class TestCheckpointResume:
             _jsonable(baseline.results), sort_keys=True
         )
         assert resumed.algorithm == baseline.algorithm
+
+    def test_run_resumed_after_a_torn_tail_is_byte_identical(
+        self, tmp_path, instances, config
+    ):
+        subset = instances[:5]
+        baseline = run_selector("Random", subset, config, seed=5)
+        faulty = FaultInjectingSelector(
+            inner="Random",
+            flaky_ids=(subset[3].target.product_id,),
+            flaky_attempts=1,
+            scratch_dir=str(tmp_path / "scratch"),
+        )
+        faulty.name = "Random"
+        journal_path = tmp_path / "journal.jsonl"
+        with checkpointing(journal_path):
+            with pytest.raises(InjectedFault):
+                run_selector(faulty, subset, config, seed=5)
+        # Say the crash hit while instance 2 was being appended.
+        _tear_last_record(journal_path)
+        with checkpointing(journal_path) as journal:
+            assert len(journal) == 2
+            resumed = run_selector("Random", subset, config, seed=5)
+        assert json.dumps(_jsonable(resumed.results), sort_keys=True) == json.dumps(
+            _jsonable(baseline.results), sort_keys=True
+        )
+        assert len(ResultJournal(journal_path)) == 5
 
     def test_replay_does_not_recompute(self, tmp_path, instances, config):
         subset = instances[:4]

@@ -7,7 +7,6 @@ from repro.core.compare_sets import CompareSetsSelector, select_for_item
 from repro.core.objective import compare_sets_objective, item_objective
 from repro.core.problem import SelectionConfig
 from repro.core.selection import build_space
-from repro.core.vectors import VectorSpace
 
 
 class TestPaperWorkingExample2:

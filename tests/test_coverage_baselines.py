@@ -1,7 +1,5 @@
 """Tests for the related-work coverage selectors (§5.1 baselines)."""
 
-import pytest
-
 from repro.core.coverage_baselines import (
     ComprehensiveSelector,
     PolarityCoverageSelector,

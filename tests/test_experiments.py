@@ -6,7 +6,6 @@ paper's shape claims (everything beats Random).  Full-scale shapes are
 exercised by the benchmark harness.
 """
 
-import numpy as np
 import pytest
 
 from repro.eval.runner import EvaluationSettings

@@ -1,7 +1,5 @@
 """Unit tests for experiment-module internals not covered structurally."""
 
-import pytest
-
 from repro.eval.alignment import AlignmentScores
 from repro.experiments.fig5 import SensitivityPoint, _best_value
 from repro.experiments.table3 import Table3Cell

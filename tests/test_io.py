@@ -1,9 +1,11 @@
 """Tests for JSONL corpus serialisation."""
 
 import json
+import re
 
 import pytest
 
+from repro.data.codec import CodecError
 from repro.data.io import load_corpus, save_corpus
 from repro.data.synthetic import generate_corpus
 
@@ -68,3 +70,28 @@ class TestErrors:
             '{"kind": "product", "product_id": "p1", "title": "T", "category": "C"}\n'
         )
         assert load_corpus(path).name == "fallback"
+
+    @pytest.mark.parametrize(
+        "review",
+        [
+            '"mentions": [{"aspect": "a", "sentiment": 1, "strength": NaN}]',
+            '"mentions": [{"aspect": "a", "sentiment": Infinity}]',
+            '"rating": Infinity',
+            '"reviewer_id": null',
+        ],
+    )
+    def test_undecodable_record_names_path_and_line(self, tmp_path, review):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"kind": "header", "version": 1}\n'
+            '{"kind": "product", "product_id": "p1"}\n'
+            f'{{"kind": "review", "review_id": "r1", "product_id": "p1", {review}}}\n'
+        )
+        with pytest.raises(CodecError, match=re.escape(f"{path}:3: ")):
+            load_corpus(path)
+
+    def test_record_that_is_no_object(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"kind": "header", "version": 1}\n[1, 2]\n')
+        with pytest.raises(CodecError, match=re.escape(f"{path}:2: ")):
+            load_corpus(path)

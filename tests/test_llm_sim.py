@@ -1,6 +1,5 @@
 """Tests for the simulated LLM-judge baseline."""
 
-import numpy as np
 import pytest
 
 from repro.core.problem import SelectionConfig

@@ -1,6 +1,5 @@
 """Tests for the swap-based TargetHkS local search."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,6 +1,5 @@
 """Tests for the exact objective evaluators (Eq. 1, Eq. 3, Eq. 5, d_ij)."""
 
-import numpy as np
 import pytest
 
 from repro.core.distance import squared_l2
@@ -11,7 +10,7 @@ from repro.core.objective import (
     pairwise_item_distance,
 )
 from repro.core.problem import SelectionConfig
-from repro.core.selection import SelectionResult, build_space
+from repro.core.selection import build_space
 from repro.core.baselines import RandomSelector
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.baselines import RandomSelector
-from repro.core.problem import SelectionConfig
 from repro.eval.objective_ratio import compare_hks_solvers
 
 

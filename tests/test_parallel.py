@@ -4,7 +4,6 @@ import multiprocessing
 
 import pytest
 
-from repro.core.problem import SelectionConfig
 from repro.core.selection import make_selector
 from repro.eval import parallel
 from repro.eval.parallel import select_parallel

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.data.corpus import Corpus
 from repro.text.aspects import AspectTerm, AspectVocabulary, mine_aspects
 from repro.text.sentiment import (
     ExtractionConfig,

@@ -195,7 +195,22 @@ class TestByteIdentity:
                 {},
             ),
             ("POST", "/v1/ingest", b'{"reviews": [], "extra": 1}', {}),
+            # Python's JSON decoder takes NaN and the infinities.
+            ("POST", "/v1/select", b'{"lam": NaN}', {}),
+            ("POST", "/v1/select", b'{"mu": Infinity}', {}),
+            ("POST", "/v1/select", b'{"m": 2, "lam": 1e308}', {}),
+            ("POST", "/v1/narrow", b'{"time_limit": NaN}', {}),
+            ("POST", "/v1/narrow", b'{"time_limit": Infinity}', {}),
         ]
+        for mention in (
+            '{"aspect": "a", "sentiment": 1, "strength": NaN}',
+            '{"aspect": "a", "sentiment": Infinity}',
+        ):
+            body = (
+                '{"reviews": [{"review_id": "PARITY-NAN", '
+                f'"product_id": "{product}", "mentions": [{mention}]}}]}}'
+            )
+            cases.append(("POST", "/v1/ingest", body.encode(), {}))
         single_conn, cluster_conn = connect(single_base), connect(cluster.base_url)
         try:
             for case in cases:

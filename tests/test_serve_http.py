@@ -476,6 +476,36 @@ class TestReloadEndpoint:
             assert payload["version"] == previous
             assert engine.store.version == previous
 
+    @pytest.mark.parametrize(
+        "mention",
+        [
+            '{"aspect": "a", "sentiment": 1, "strength": NaN}',
+            '{"aspect": "a", "sentiment": Infinity}',
+        ],
+    )
+    def test_reload_undecodable_record_is_409_naming_its_line(
+        self, corpus, tmp_path, mention
+    ):
+        engine = SelectionEngine(ItemStore(corpus), workers=2)
+        with _fresh_server(engine) as base:
+            previous = engine.store.version
+            path = tmp_path / "poisoned.json"
+            fresh = generate_corpus("Toy", scale=0.3, seed=11)
+            save_corpus(fresh, path)
+            product = fresh.products[0].product_id
+            with path.open("a", encoding="utf-8") as handle:
+                handle.write(
+                    f'{{"kind": "review", "review_id": "NAN-1", '
+                    f'"product_id": "{product}", "mentions": [{mention}]}}\n'
+                )
+            line = len(path.read_text(encoding="utf-8").splitlines())
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(f"{base}/v1/reload", {"path": str(path)})
+            assert excinfo.value.code == 409
+            payload = json.loads(excinfo.value.read())
+            assert f"{path}:{line}: " in payload["error"]
+            assert engine.store.version == previous
+
     def test_reload_missing_path_field_is_400(self, corpus):
         engine = SelectionEngine(ItemStore(corpus), workers=2)
         with _fresh_server(engine) as base:

@@ -170,6 +170,31 @@ class TestTargetedCases:
         assert patched.solver[index].base_block().num_groups == groups_before
         _assert_artifacts_equal(patched, ItemStore(store.corpus).artifacts(target, config))
 
+    def test_reader_memoising_during_carry_over(self, corpus, config, monkeypatch):
+        """A read that memoises into the live generation while a delta's
+        carry-over walks it leaves the delta intact."""
+        store = ItemStore(corpus)
+        target = store.default_target(10, 3)
+        _, dup = self._delta_for(store, target, config)
+        other = dataclasses.replace(config, lam=2.0)
+        delegate = ItemStore._patched_artifacts
+        reads = []
+
+        def read_first(self, *args, **kwargs):
+            if not reads:
+                # The successor is not published yet, so this memoises a
+                # new key into the generation being carried over.
+                reads.append(store.artifacts(target, other))
+            return delegate(self, *args, **kwargs)
+
+        monkeypatch.setattr(ItemStore, "_patched_artifacts", read_first)
+        outcome = store.apply_delta([dup])
+        assert reads and outcome.patched == 1
+        _assert_artifacts_equal(
+            store.artifacts(target, config),
+            ItemStore(store.corpus).artifacts(target, config),
+        )
+
     def test_memo_and_identity_carry_for_untouched_items(self, corpus, config):
         store = ItemStore(corpus)
         target = store.default_target(10, 3)

@@ -18,7 +18,7 @@ from repro.serve.snapshot import (
     open_durable_store,
 )
 from repro.serve.store import ItemStore
-from repro.serve.wal import WriteAheadLog, review_record
+from repro.serve.wal import review_record
 
 
 @pytest.fixture(scope="module")

@@ -6,13 +6,7 @@ import errno
 
 import pytest
 
-from repro.data.models import AspectMention, Review
-from repro.serve.wal import (
-    WALCorruptError,
-    WriteAheadLog,
-    review_from_record,
-    review_record,
-)
+from repro.serve.wal import WALCorruptError, WriteAheadLog, _encode_record
 
 
 def _delta(n: int) -> dict:
@@ -76,6 +70,23 @@ class TestTornTail:
             handle.write(b"\x00\xffgarbage")
         recovered = WriteAheadLog(path)
         assert [seq for seq, _ in recovered.replay()] == [1]
+
+    @pytest.mark.parametrize("seq", ["x", None, [1], 1.5, True])
+    def test_record_whose_seq_is_no_int_is_damage(self, tmp_path, seq):
+        path = tmp_path / "ingest.wal"
+        with WriteAheadLog(path) as wal:
+            wal.append(_delta(1))
+        intact = path.read_bytes()
+        # Well framed, checksummed and JSON, yet no log wrote it.
+        bad = _encode_record({"kind": "delta", "seq": seq})
+        path.write_bytes(intact + bad)
+        recovered = WriteAheadLog(path)
+        assert [s for s, _ in recovered.replay()] == [1]
+        assert recovered.stats().torn_tail_bytes == len(bad)
+        assert path.read_bytes() == intact
+        path.write_bytes(bad + intact)
+        with pytest.raises(WALCorruptError):
+            WriteAheadLog(path)
 
     def test_midfile_damage_is_not_silently_healed(self, tmp_path):
         path = tmp_path / "ingest.wal"
@@ -141,30 +152,3 @@ class TestCompaction:
         wal.append(_delta(1))
         assert wal.compact(upto_seq=0) == 0
         assert len(wal) == 1
-
-
-class TestReviewRecords:
-    def test_round_trip(self):
-        review = Review(
-            review_id="r1",
-            product_id="P1",
-            reviewer_id="u9",
-            rating=4.0,
-            text="sharp lens",
-            mentions=(AspectMention(aspect="lens", sentiment=1, strength=2.0),),
-        )
-        assert review_from_record(review_record(review)) == review
-
-    @pytest.mark.parametrize(
-        "record",
-        [
-            "not a dict",
-            {},
-            {"review_id": "r1"},  # no product_id
-            {"review_id": "r1", "product_id": "P1", "rating": "not-a-number"},
-            {"review_id": "r1", "product_id": "P1", "mentions": [{"bad": 1}]},
-        ],
-    )
-    def test_malformed_records_raise_value_error(self, record):
-        with pytest.raises(ValueError):
-            review_from_record(record)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import json
 
 import pytest
 
@@ -259,3 +260,57 @@ class TestShardFrames:
             }
         finally:
             engine.close()
+
+
+class TestNonFiniteInput:
+    """NaN, the infinities and overflowing numbers, which JSON bodies carry."""
+
+    @pytest.fixture(scope="class")
+    def engine(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("nonfinite")
+        corpus_path = root / "corpus.jsonl"
+        save_corpus(generate_corpus("Toy", scale=0.3, seed=11), corpus_path)
+        engine = build_durable_engine(root / "state", corpus_path=corpus_path)
+        yield engine
+        engine.close()
+
+    @pytest.mark.parametrize(
+        "op, body",
+        [
+            ("select", '{"lam": NaN}'),
+            ("select", '{"mu": Infinity}'),
+            ("select", '{"lam": -Infinity}'),
+            ("select", '{"m": 2, "lam": 1e308}'),
+            ("select", '{"mu": 1%s}' % ("0" * 200)),
+            ("narrow", '{"time_limit": NaN}'),
+            ("narrow", '{"time_limit": Infinity}'),
+            ("narrow", '{"time_limit": 1%s}' % ("0" * 400)),
+        ],
+        ids=[
+            "lam-nan", "mu-inf", "lam-minus-inf", "lam-square-overflows",
+            "mu-int-square-overflows", "time_limit-nan", "time_limit-inf",
+            "time_limit-int-overflows",
+        ],
+    )
+    def test_query_is_422(self, engine, op, body):
+        reply = handle_message(engine, {"op": op, "body": json.loads(body)})
+        assert reply["status"] == 422, reply
+
+    @pytest.mark.parametrize(
+        "mention",
+        [
+            '{"aspect": "a", "sentiment": 1, "strength": NaN}',
+            '{"aspect": "a", "sentiment": 1, "strength": Infinity}',
+            '{"aspect": "a", "sentiment": Infinity}',
+        ],
+    )
+    def test_ingest_is_400_and_logs_nothing(self, engine, mention):
+        product = engine.store.corpus.products[0].product_id
+        reviews = json.loads(
+            f'[{{"review_id": "NF-1", "product_id": "{product}", '
+            f'"mentions": [{mention}]}}]'
+        )
+        before = engine.wal.stats()
+        reply = handle_message(engine, {"op": "ingest", "reviews": reviews})
+        assert reply["status"] == 400, reply
+        assert engine.wal.stats() == before
