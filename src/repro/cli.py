@@ -423,6 +423,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
 
     from repro.experiments.persist import checkpointing
     from repro.resilience.deadline import DeadlineExceeded, deadline_scope
+    from repro.serve.wal import WALError
 
     settings = EvaluationSettings(
         scale=args.scale,
@@ -443,7 +444,14 @@ def _command_experiment(args: argparse.Namespace) -> int:
 
     with contextlib.ExitStack() as stack:
         if args.checkpoint is not None:
-            journal = stack.enter_context(checkpointing(args.checkpoint))
+            try:
+                journal = stack.enter_context(checkpointing(args.checkpoint))
+            except (WALError, OSError, ValueError) as exc:
+                # Damaged, pre-framing, foreign or unreadable: the journal
+                # is left as it was for the user to inspect or delete.
+                raise _fail_usage(
+                    f"checkpoint journal {args.checkpoint} is unusable: {exc}"
+                ) from None
             if len(journal):
                 print(
                     f"[resuming from checkpoint {args.checkpoint}: "
@@ -573,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="milp",
         choices=["milp", "bnb", "fallback"],
-        help="exact solver backend; 'fallback' degrades milp -> bnb -> greedy",
+        help="exact solver backend; 'fallback' runs the serving chain, bnb -> greedy",
     )
     narrow.add_argument("--time-limit", type=float, default=60.0)
     _add_selection_arguments(narrow)

@@ -8,15 +8,23 @@ This module provides two offline equivalents:
   0-1 objective (y_ij = gamma_i * gamma_j with y_ij <= gamma_i,
   y_ij <= gamma_j, y_ij >= gamma_i + gamma_j - 1) handed to scipy's HiGHS
   MILP solver with a time limit.
-* :class:`BranchAndBoundSolver` — a from-scratch depth-first branch and
-  bound on the quadratic form.  The admissible upper bound for a partial
-  choice counts every chosen-chosen edge exactly, plus for each remaining
-  slot the best possible "attachment" value of any candidate vertex
-  (edges to the chosen set at full value, candidate-candidate edges at
-  half value per endpoint), which never underestimates the completion.
+* :class:`BranchAndBoundSolver` — from-scratch and exact.  Up to
+  :data:`ENUMERATION_LIMIT` candidate subsets (C(n-1, k-1)) it scores
+  every subset at once in one vectorised enumeration; above it, it runs
+  a depth-first branch and bound on the quadratic form.  The DFS's
+  admissible upper bound for a partial choice counts every chosen-chosen
+  edge exactly, plus for each remaining slot the best possible
+  "attachment" value of any candidate vertex (edges to the chosen set at
+  full value, candidate-candidate edges at half value per endpoint),
+  which never underestimates the completion.
 
 Both report whether optimality was proven, so the Table-5 "#Optimal
-Solution %" column is reproducible with either backend.
+Solution %" column is reproducible with either backend.  Both report
+the canonical :func:`subset_weight` of their sorted subset, so one
+subset weighs the same bits whichever solver found it.  The enumeration
+breaks exact ties toward the lexicographically lowest sorted subset,
+like :func:`~repro.graph.target_hks.solve_brute_force`; the DFS and the
+MILP return some subset of maximal weight.
 
 Both solvers accept an optional :class:`~repro.resilience.deadline.Deadline`
 (falling back to the ambient :func:`~repro.resilience.deadline.deadline_scope`
@@ -31,12 +39,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.resilience.deadline import Deadline, resolve_deadline
+
+#: The most candidate subsets C(n-1, k-1) that :class:`BranchAndBoundSolver`
+#: scores by enumeration; larger graphs go to its depth-first search.  At
+#: serving's default ``max_comparisons=10`` (n <= 11) a graph has at most
+#: 252 candidates.
+ENUMERATION_LIMIT = 2**15
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,18 +69,58 @@ def _validate_weights(weights: np.ndarray) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
         raise ValueError(f"weights must be square, got shape {weights.shape}")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
     if not np.allclose(weights, weights.T, atol=1e-9):
         raise ValueError("weights must be symmetric")
     return weights
 
 
 def subset_weight(weights: np.ndarray, subset: tuple[int, ...] | list[int]) -> float:
-    """Total edge weight sum_{i<j in subset} w_ij."""
-    indices = np.fromiter(subset, dtype=int)
-    if indices.size < 2:
-        return 0.0
-    block = weights[np.ix_(indices, indices)]
-    return float(block.sum()) / 2.0
+    """Total edge weight sum_{i<j in subset} w_ij, summed canonically.
+
+    The canonical order sorts the subset to s_0 < s_1 < ... and adds
+    w[s_a, s_b] for every a < b in lexicographic order of (a, b), left to
+    right from 0.0.  Every solver reports this sum, so a subset weighs
+    the same bits whichever solver found it.
+    """
+    ordered = sorted(int(v) for v in subset)
+    total = 0.0
+    for a, row in enumerate(weights[np.ix_(ordered, ordered)].tolist()):
+        for value in row[a + 1 :]:
+            total += value
+    return total
+
+
+def enumerate_optimum(
+    weights: np.ndarray, k: int, target: int, deadline: Deadline
+) -> tuple[int, ...] | None:
+    """The lexicographically lowest heaviest k-subset holding ``target``.
+
+    Scores all C(n-1, k-1) candidates at once.  Column r of ``members``
+    is the r-th candidate in lexicographic order, sorted, and the totals
+    accumulate pair by pair in :func:`subset_weight`'s order, so each
+    total is bitwise that candidate's canonical weight and ``argmax``'s
+    first maximum is the lexicographically lowest optimal subset.  The
+    deadline is polled between pair passes; ``None`` means it expired.
+    """
+    others = [v for v in range(weights.shape[0]) if v != target]
+    count = comb(len(others), k - 1)
+    combos = np.fromiter(
+        chain.from_iterable(combinations(others, k - 1)),
+        dtype=np.intp,
+        count=count * (k - 1),
+    ).reshape(count, k - 1)
+    members = np.sort(
+        np.column_stack([combos, np.full(count, target, dtype=np.intp)]), axis=1
+    ).T.copy()
+    totals = np.zeros(count)
+    for a in range(k - 1):
+        if deadline.expired():
+            return None
+        for b in range(a + 1, k):
+            totals += weights[members[a], members[b]]
+    return tuple(int(v) for v in members[:, int(np.argmax(totals))])
 
 
 def greedy_incumbent(weights: np.ndarray, k: int, target: int) -> list[int]:
@@ -205,13 +261,18 @@ class BranchAndBoundSolver:
         target: int = 0,
         deadline: Deadline | None = None,
     ) -> IlpSolution:
-        """Heaviest k-subgraph containing ``target``, DFS branch and bound.
+        """Heaviest k-subgraph containing ``target``, proven optimal in budget.
 
+        Up to :data:`ENUMERATION_LIMIT` candidate subsets this is
+        :func:`enumerate_optimum`; above it, a DFS branch and bound.
         The effective budget is the tighter of ``deadline`` (or the
-        ambient deadline scope) and the constructor ``time_limit``; it is
-        checked at every search node *and* inside the bound computation
-        itself, so a single expensive bound over a large candidate set
-        cannot overshoot the budget by more than a few iterations.
+        ambient deadline scope) and the constructor ``time_limit``.  The
+        enumeration polls it between pair passes; the DFS checks it at
+        every search node *and* inside the bound computation itself, so
+        a single expensive bound over a large candidate set cannot
+        overshoot the budget by more than a few iterations.  Either way
+        an exhausted budget yields the best incumbent (at worst the
+        greedy one) with ``proven_optimal=False``.
         """
         weights = _validate_weights(weights)
         n = weights.shape[0]
@@ -222,6 +283,17 @@ class BranchAndBoundSolver:
         effective = resolve_deadline(deadline).tightened(self.time_limit)
 
         start = time.perf_counter()
+        if comb(n - 1, k - 1) <= ENUMERATION_LIMIT and not effective.expired():
+            selected = enumerate_optimum(weights, k, target, effective)
+            if selected is not None:
+                return IlpSolution(
+                    selected=selected,
+                    weight=subset_weight(weights, selected),
+                    proven_optimal=True,
+                    solve_seconds=time.perf_counter() - start,
+                )
+            # The budget ran out mid-enumeration: the search below sees
+            # it at its first node and returns the greedy incumbent.
 
         # Greedy incumbent (Algorithm 2) gives a strong initial lower bound.
         incumbent = greedy_incumbent(weights, k, target)

@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.distance import squared_l2
 from repro.core.problem import SelectionConfig
 from repro.core.selection import SelectionResult, build_space
+from repro.core.vectors import VectorSpace
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,16 +92,26 @@ def _pairwise_distances_reference(
     return distances
 
 
-def build_item_graph(result: SelectionResult, config: SelectionConfig) -> ItemGraph:
+def build_item_graph(
+    result: SelectionResult,
+    config: SelectionConfig,
+    space: VectorSpace | None = None,
+) -> ItemGraph:
     """Construct the §3.1 graph from a selection result.
 
     The per-item fit terms are computed once and the pairwise aspect
     distances come from one Gram-matrix product over the stacked φ(S_i)
     rows, so the construction is O(n^2 z + n z N) with the n² part a
     single BLAS call instead of a Python pair loop.
+
+    ``space`` optionally reuses the instance's precomputed
+    :class:`~repro.core.vectors.VectorSpace` (the selectors' idiom), so
+    tau_i and Gamma come from its memoised vectors; the weights are
+    bitwise those of a fresh space.
     """
     instance = result.instance
-    space = build_space(instance, config)
+    if space is None:
+        space = build_space(instance, config)
     gamma = space.aspect_vector(instance.reviews[0])
     n = instance.num_items
 

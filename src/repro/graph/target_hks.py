@@ -5,7 +5,8 @@ Solvers:
 * :func:`solve_greedy` — Algorithm 2: start from the target, repeatedly
   add the vertex maximising the subgraph weight.
 * :func:`solve_ilp` — exact Eq. 7 via a chosen backend ("milp" = HiGHS
-  linearisation, "bnb" = from-scratch branch and bound), time-limited.
+  linearisation, "bnb" = from-scratch enumeration or branch and bound),
+  time-limited.
 * :func:`solve_brute_force` — exhaustive enumeration (tests / tiny n).
 * :func:`solve_top_k_similarity` — baseline: k-1 items with the highest
   direct similarity to the target (Table 6's "Top-k similarity").
@@ -70,21 +71,23 @@ def solve_greedy(weights: np.ndarray, k: int, target: int = 0) -> HksSolution:
     masked to -inf so ``argmax``'s first-maximum rule still breaks ties
     toward the lowest vertex index, exactly like the reference loop
     (kept as :func:`_solve_greedy_reference` for the equivalence tests).
+    The reported weight is the canonical :func:`subset_weight` of the
+    sorted subset, not the running gain sum, so it matches the exact
+    solvers' bits whenever they pick the same subset.
     """
     weights = _check_arguments(weights, k, target)
     chosen = [target]
     gains = weights[:, target].astype(float, copy=True)
     gains[target] = -np.inf
-    current_weight = 0.0
     while len(chosen) < k:
         best = int(np.argmax(gains))
-        current_weight += float(gains[best])
         chosen.append(best)
         gains += weights[:, best]
         gains[best] = -np.inf
+    selected = tuple(sorted(chosen))
     return HksSolution(
-        selected=tuple(sorted(chosen)),
-        weight=current_weight,
+        selected=selected,
+        weight=subset_weight(weights, selected),
         algorithm="TargetHkS_Greedy",
     )
 
@@ -99,16 +102,15 @@ def _solve_greedy_reference(weights: np.ndarray, k: int, target: int = 0) -> Hks
     n = weights.shape[0]
     chosen = [target]
     remaining = [v for v in range(n) if v != target]
-    current_weight = 0.0
     while len(chosen) < k:
         chosen_array = np.array(chosen)
         gains = [float(weights[v, chosen_array].sum()) for v in remaining]
         best_position = int(np.argmax(gains))
-        current_weight += gains[best_position]
         chosen.append(remaining.pop(best_position))
+    selected = tuple(sorted(chosen))
     return HksSolution(
-        selected=tuple(sorted(chosen)),
-        weight=current_weight,
+        selected=selected,
+        weight=subset_weight(weights, selected),
         algorithm="TargetHkS_Greedy",
     )
 
@@ -124,11 +126,13 @@ def solve_ilp(
     """Exact Eq. 7 solution (within the time limit) via the chosen backend.
 
     ``backend="milp"`` uses scipy's HiGHS on the standard linearisation
-    (the Gurobi stand-in); ``backend="bnb"`` uses the from-scratch branch
-    and bound.  ``proven_optimal`` is False when the limit was hit first,
-    mirroring the paper's 60-second Gurobi budget in Table 5.  An
-    explicit ``deadline`` (or an ambient deadline scope) tightens the
-    ``time_limit`` further; see :mod:`repro.resilience.deadline`.
+    (the Gurobi stand-in); ``backend="bnb"`` uses the from-scratch
+    :class:`~repro.graph.ilp.BranchAndBoundSolver` (an enumeration on
+    small graphs, a branch and bound above).  ``proven_optimal`` is
+    False when the limit was hit first, mirroring the paper's 60-second
+    Gurobi budget in Table 5.  An explicit ``deadline`` (or an ambient
+    deadline scope) tightens the ``time_limit`` further; see
+    :mod:`repro.resilience.deadline`.
     """
     weights = _check_arguments(weights, k, target)
     if backend == "milp":
@@ -148,7 +152,12 @@ def solve_ilp(
 
 
 def solve_brute_force(weights: np.ndarray, k: int, target: int = 0) -> HksSolution:
-    """Exhaustive optimum — O(C(n-1, k-1)); for tests and tiny graphs."""
+    """Exhaustive optimum — O(C(n-1, k-1)); for tests and tiny graphs.
+
+    Scores every subset by its canonical :func:`subset_weight` and keeps
+    the first maximum in lexicographic order, the tie rule of
+    :func:`~repro.graph.ilp.enumerate_optimum`; the two agree bit for bit.
+    """
     weights = _check_arguments(weights, k, target)
     n = weights.shape[0]
     others = [v for v in range(n) if v != target]

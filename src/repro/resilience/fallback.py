@@ -2,12 +2,14 @@
 
 Table 5 runs the TargetHkS ILP under a 60-second limit and reports
 non-proven solutions when it is hit.  :class:`FallbackChain` generalises
-that degradation: run the exact MILP, fall back to the from-scratch
-branch and bound on solver error or an exhausted deadline, and finally
-to the greedy Algorithm 2 — which always answers.  The outcome records
-which backend actually produced the solution and what happened to every
-stage before it, so experiment tables can report provenance alongside
-``proven_optimal``.
+that degradation: run an exact stage, fall back on solver error or an
+exhausted deadline, and finally to the greedy Algorithm 2 — which
+always answers.  The default chain is the from-scratch exact solver
+(``"bnb"``: an enumeration on the small graphs serving sees, a branch
+and bound above) then greedy; the HiGHS MILP (``"milp"``) stays a stage
+a caller may name.  The outcome records which backend actually produced
+the solution and what happened to every stage before it, so experiment
+tables can report provenance alongside ``proven_optimal``.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ import numpy as np
 from repro.graph.target_hks import HksSolution, solve_greedy, solve_ilp
 from repro.resilience.deadline import Deadline, DeadlineExceeded, resolve_deadline
 
-# A stage is a name from DEFAULT_STAGES, or a (name, solver) pair where
+# A stage is a name from STAGES, or a (name, solver) pair where
 # solver(weights, k, target, deadline) -> HksSolution (for custom
 # backends and fault-injection tests).
 StageSolver = Callable[[np.ndarray, int, int, Deadline], HksSolution]
 
-DEFAULT_STAGES: tuple[str, ...] = ("milp", "bnb", "greedy")
+#: Every built-in stage name.
+STAGES: tuple[str, ...] = ("milp", "bnb", "greedy")
+
+DEFAULT_STAGES: tuple[str, ...] = ("bnb", "greedy")
 
 
 class FallbackExhausted(RuntimeError):
@@ -76,7 +81,7 @@ def _builtin_stage(name: str, time_limit: float) -> StageSolver:
             return solve_greedy(weights, k, target)
         return solve
     raise ValueError(
-        f"unknown fallback stage {name!r}; use one of {DEFAULT_STAGES} "
+        f"unknown fallback stage {name!r}; use one of {STAGES} "
         "or a (name, solver) pair"
     )
 
@@ -84,8 +89,8 @@ def _builtin_stage(name: str, time_limit: float) -> StageSolver:
 class FallbackChain:
     """Try TargetHkS backends in order, degrading on timeout or error.
 
-    ``stages`` is an ordered sequence of backend names (``"milp"``,
-    ``"bnb"``, ``"greedy"``) or ``(name, solver)`` pairs.  Each stage
+    ``stages`` is an ordered sequence of backend names (any of
+    :data:`STAGES`) or ``(name, solver)`` pairs.  Each stage
     gets the remaining deadline, itself tightened by ``time_limit``
     (the per-solve cap, the paper's 60-second budget).  A stage that
     raises — or that cannot start because the deadline already expired —

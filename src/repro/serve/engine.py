@@ -35,6 +35,8 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.batch_solver import BATCHABLE_ALGORITHMS, BatchJob, select_many
 from repro.core.compare_sets import CompareSetsSelector
 from repro.core.compare_sets_plus import CompareSetsPlusSelector
@@ -47,6 +49,7 @@ from repro.graph.similarity import build_item_graph
 from repro.resilience.deadline import Deadline, DeadlineExceeded, resolve_deadline
 from repro.resilience.fallback import (
     DEFAULT_STAGES,
+    STAGES,
     FallbackChain,
     StageSolver,
     builtin_stage,
@@ -89,8 +92,10 @@ _SCHEMES = {scheme.value: scheme for scheme in OpinionScheme}
 #: up to millions of subsets per item and would hold a worker for seconds.
 UNSERVED_ALGORITHMS = frozenset({"CompaReSetS_Exhaustive"})
 
-#: The largest lam or mu: the selectors square both.
-_MAX_WEIGHT = sys.float_info.max**0.5
+#: The largest lam or mu.  The selectors and the item graph square both
+#: and multiply the square into Gram entries and aspect distances, so
+#: the fourth root leaves those products finite.
+_MAX_WEIGHT = sys.float_info.max**0.25
 
 
 @dataclass(frozen=True, slots=True)
@@ -421,7 +426,7 @@ class SelectionEngine:
         )
 
     def _wire_health(self) -> None:
-        for backend in DEFAULT_STAGES:
+        for backend in STAGES:
             self._register_breaker_gauge(backend)
 
         def breaker_probe() -> str | None:
@@ -1211,10 +1216,10 @@ class SelectionEngine:
                 name = stage
                 solver = self._stage_solvers.get(name)
                 if solver is None:
-                    if name not in DEFAULT_STAGES:
+                    if name not in STAGES:
                         raise InvalidRequest(
                             f"unknown fallback stage {name!r}; "
-                            f"one of {sorted(DEFAULT_STAGES)}"
+                            f"one of {sorted(STAGES)}"
                         )
                     solver = builtin_stage(name, request.time_limit)
             else:
@@ -1236,8 +1241,13 @@ class SelectionEngine:
         artifacts: InstanceArtifacts,
         selected: SelectionResult,
     ) -> _SolvedNarrow:
-        config = request.config()
-        graph = build_item_graph(selected, config)
+        graph = build_item_graph(selected, request.config(), space=artifacts.space)
+        if not np.isfinite(graph.weights).all():
+            # A caller's parameters, not a backend, broke the graph: refuse
+            # before the chain runs so no breaker counts it as a failure.
+            raise InvalidRequest(
+                "the item graph has non-finite weights; lower lam or mu"
+            )
         k = min(request.k, artifacts.instance.num_items)
         chain, skipped = self._chain_for(request)
         outcome = chain.solve(graph.weights, k)

@@ -161,6 +161,43 @@ class TestUsageErrors:
         assert "corrupt" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "journal",
+        [
+            # The unframed layout journals had before the WAL framing.
+            '{"kind":"header","version":1}\n{"kind":"entry","key":"a"}\n',
+            # A framed header whose CRC no longer matches, then more data.
+            '30|00000000|{"seq":1,"kind":"header","version":1}\nmore\n',
+        ],
+        ids=["pre-framing", "damaged"],
+    )
+    def test_bad_checkpoint_journal_exits_2_untouched(
+        self, journal, tmp_path, capsys
+    ):
+        path = tmp_path / "old.journal"
+        path.write_text(journal, encoding="utf-8")
+        before = path.read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "experiment", "table5", "--scale", "0.25", "--instances", "1",
+                "--checkpoint", str(path),
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint journal {path} is unusable")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert path.read_bytes() == before
+
+    def test_checkpoint_journal_directory_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "experiment", "table5", "--scale", "0.25", "--instances", "1",
+                "--checkpoint", str(tmp_path),
+            ])
+        assert excinfo.value.code == 2
+        assert "checkpoint journal" in capsys.readouterr().err
+
     def test_corpus_directory_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["stats", str(tmp_path)])

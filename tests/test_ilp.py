@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import ilp
 from repro.graph.ilp import (
     BranchAndBoundSolver,
     MilpBackendSolver,
+    enumerate_optimum,
     greedy_incumbent,
     subset_weight,
 )
-from repro.graph.target_hks import solve_brute_force
+from repro.graph.target_hks import solve_brute_force, solve_greedy
 from repro.resilience.deadline import Deadline
 
 
@@ -25,6 +27,27 @@ def random_weights(n: int, seed: int) -> np.ndarray:
     weights = distances.max() - distances
     np.fill_diagonal(weights, 0)
     return weights
+
+
+@st.composite
+def exact_instances(draw, max_n: int = 12):
+    """A symmetric zero-diagonal graph with n <= max_n, a target and a k.
+
+    Weights are uniform floats, small integers (many exact ties), all
+    equal, or all zero.
+    """
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["uniform", "small-int", "all-equal", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        raw = rng.uniform(0.0, 10.0, (n, n))
+    elif kind == "small-int":
+        raw = rng.integers(0, 4, (n, n)).astype(float)
+    else:
+        raw = np.full((n, n), 0.0 if kind == "zero" else 2.5)
+    weights = np.triu(raw, 1)
+    weights = weights + weights.T
+    return weights, draw(st.integers(1, n)), draw(st.integers(0, n - 1))
 
 
 class TestSubsetWeight:
@@ -44,6 +67,36 @@ class TestSubsetWeight:
         weights[1, 2] = weights[2, 1] = 4.0
         assert subset_weight(weights, (0, 1, 2)) == 7.0
 
+    def test_canonical_order_whatever_the_input_order(self):
+        """Sorted subset, pairs in lexicographic order, summed left to right."""
+        weights = random_weights(9, 4) * np.pi
+        subset = (7, 2, 5, 0, 8)
+        ordered = sorted(subset)
+        expected = 0.0
+        for a in range(len(ordered)):
+            for b in range(a + 1, len(ordered)):
+                expected += float(weights[ordered[a], ordered[b]])
+        assert subset_weight(weights, subset).hex() == expected.hex()
+        assert subset_weight(weights, ordered).hex() == expected.hex()
+
+    @pytest.mark.parametrize("seed", [0, 4, 9])
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_every_solver_reports_the_canonical_weight(self, monkeypatch, seed, k):
+        # On these graphs a running gain sum misses the canonical bits.
+        weights = random_weights(10, seed) * np.e
+        solutions = [
+            BranchAndBoundSolver(time_limit=10).solve(weights, k, target=3),
+            solve_greedy(weights, k, target=3),
+            solve_brute_force(weights, k, target=3),
+        ]
+        if k == 3:
+            solutions.append(MilpBackendSolver(time_limit=10).solve(weights, k, 3))
+        monkeypatch.setattr(ilp, "ENUMERATION_LIMIT", 0)
+        solutions.append(BranchAndBoundSolver(time_limit=10).solve(weights, k, 3))
+        for solution in solutions:
+            canonical = subset_weight(weights, solution.selected)
+            assert solution.weight.hex() == canonical.hex()
+
 
 class TestValidation:
     @pytest.mark.parametrize("solver_cls", [MilpBackendSolver, BranchAndBoundSolver])
@@ -60,6 +113,14 @@ class TestValidation:
     def test_asymmetric_rejected(self, solver_cls):
         weights = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
+            solver_cls(time_limit=5).solve(weights, k=2)
+
+    @pytest.mark.parametrize("solver_cls", [MilpBackendSolver, BranchAndBoundSolver])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, solver_cls, bad):
+        weights = random_weights(4, 0)
+        weights[1, 2] = weights[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
             solver_cls(time_limit=5).solve(weights, k=2)
 
     def test_bad_time_limit(self):
@@ -110,6 +171,72 @@ class TestExactness:
         expected = solve_brute_force(weights, min(k, n))
         bnb = BranchAndBoundSolver(time_limit=30).solve(weights, min(k, n))
         assert bnb.weight == pytest.approx(expected.weight, abs=1e-6)
+
+
+class TestEnumeration:
+    """The bnb stage's enumeration below ``ENUMERATION_LIMIT`` subsets."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact_instances())
+    def test_equals_brute_force_bit_for_bit(self, instance):
+        weights, k, target = instance
+        solution = BranchAndBoundSolver(time_limit=30).solve(weights, k, target)
+        expected = solve_brute_force(weights, k, target)
+        assert solution.proven_optimal
+        assert solution.selected == expected.selected
+        assert solution.weight.hex() == expected.weight.hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_instances())
+    def test_depth_first_search_reaches_the_same_weight(self, instance):
+        weights, k, target = instance
+        expected = solve_brute_force(weights, k, target)
+        original = ilp.ENUMERATION_LIMIT
+        ilp.ENUMERATION_LIMIT = 0  # every graph goes to the DFS
+        try:
+            solution = BranchAndBoundSolver(time_limit=30).solve(weights, k, target)
+        finally:
+            ilp.ENUMERATION_LIMIT = original
+        assert solution.proven_optimal
+        assert target in solution.selected and len(solution.selected) == k
+        assert solution.weight == pytest.approx(expected.weight, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(exact_instances(max_n=9))
+    def test_milp_reaches_the_same_weight(self, instance):
+        weights, k, target = instance
+        expected = solve_brute_force(weights, k, target)
+        solution = MilpBackendSolver(time_limit=30).solve(weights, k, target)
+        assert solution.proven_optimal
+        assert target in solution.selected and len(solution.selected) == k
+        assert solution.weight == pytest.approx(expected.weight, rel=1e-9, abs=1e-12)
+
+    def test_ties_go_to_the_lexicographically_lowest_subset(self):
+        weights = np.ones((6, 6)) - np.eye(6)
+        solution = BranchAndBoundSolver(time_limit=10).solve(weights, 3, target=4)
+        assert solution.selected == (0, 1, 4)
+
+    @pytest.mark.parametrize("k, enumerates", [(4, True), (5, False)])
+    def test_cap_counts_candidate_subsets(self, monkeypatch, k, enumerates):
+        # n = 9: C(8, 3) = 56 candidates at k = 4, C(8, 4) = 70 at k = 5.
+        monkeypatch.setattr(ilp, "ENUMERATION_LIMIT", 56)
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1])
+            return enumerate_optimum(*args)
+
+        monkeypatch.setattr(ilp, "enumerate_optimum", spy)
+        weights = random_weights(9, 2)
+        solution = BranchAndBoundSolver(time_limit=10).solve(weights, k)
+        assert calls == ([k] if enumerates else [])
+        assert solution.proven_optimal
+        assert solution.weight == pytest.approx(solve_brute_force(weights, k).weight)
+
+    def test_expired_deadline_stops_the_enumeration(self):
+        weights = random_weights(8, 1)
+        assert enumerate_optimum(weights, 4, 0, Deadline.after(0.0)) is None
+        assert enumerate_optimum(weights, 4, 0, Deadline.after(60.0)) is not None
 
 
 class TestTimeLimit:

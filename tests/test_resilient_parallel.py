@@ -171,14 +171,18 @@ class TestTimeouts:
         assert wall < 4.0
 
     def test_overall_deadline_settles_unfinished(self, instances, config):
-        slow = {i.target.product_id: 0.6 for i in instances[:5]}
+        # The two workers take instances in submission order: the first
+        # two run unslowed and finish far inside the deadline, the last
+        # three sleep far past it, so the split does not hang on how fast
+        # the host forks and solves.
+        slow = {i.target.product_id: 4.0 for i in instances[2:5]}
         run = run_parallel(
             "FaultInjecting",
             instances[:5],
             config,
             max_workers=2,
             selector_kwargs={"inner": "CompaReSetS_Greedy", "slow": slow},
-            deadline=0.7,
+            deadline=2.0,
             on_error="degrade",
         )
         assert len(run.outcomes) == 5

@@ -201,6 +201,12 @@ class TestByteIdentity:
             ("POST", "/v1/select", b'{"m": 2, "lam": 1e308}', {}),
             ("POST", "/v1/narrow", b'{"time_limit": NaN}', {}),
             ("POST", "/v1/narrow", b'{"time_limit": Infinity}', {}),
+            # Finite, but their squares times a Gram entry overflow.
+            ("POST", "/v1/narrow", b'{"lam": 1e154, "k": 2}', {}),
+            ("POST", "/v1/narrow", b'{"lam": 1e154, "k": 3}', {}),
+            ("POST", "/v1/narrow", b'{"mu": 1e154, "k": 3}', {}),
+            ("POST", "/v1/select", b'{"lam": 1e154}', {}),
+            ("POST", "/v1/select", b'{"mu": 1e154}', {}),
         ]
         for mention in (
             '{"aspect": "a", "sentiment": 1, "strength": NaN}',
@@ -223,6 +229,11 @@ class TestByteIdentity:
         finally:
             single_conn.close()
             cluster_conn.close()
+        # No refusal counted against a solver backend on either side.
+        for base in (single_base, cluster.base_url):
+            status, raw = _get(base, "/healthz")
+            assert status == 200, raw
+            assert json.loads(raw)["status"] == "ok", raw
 
 
 class TestGatewayEndpoints:

@@ -5,13 +5,16 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from repro.core.problem import SelectionConfig
 from repro.core.selection import make_selector
 from repro.data.instances import build_instance
 from repro.data.synthetic import generate_corpus
+from repro.graph import similarity
 from repro.resilience.deadline import Deadline, DeadlineExceeded, deadline_scope
+from repro.serve import engine as engine_module
 from repro.serve.engine import (
     EngineClosed,
     InvalidRequest,
@@ -126,7 +129,7 @@ class TestSelect:
 class TestNarrow:
     def test_narrow_provenance(self, engine):
         response = engine.narrow(m=2, k=3)
-        assert response.provenance.backend == "milp"
+        assert response.provenance.backend == "bnb"
         assert response.provenance.proven_optimal is True
         assert response.provenance.fallback_depth == 0
         assert response.result["k"] <= 3
@@ -152,6 +155,32 @@ class TestNarrow:
         second = engine.narrow(m=2, k=2)
         assert second.provenance.cache == "hit"
         assert second.result == first.result
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_reply_does_not_depend_on_the_exact_stage(self, engine, k):
+        bnb = engine.narrow(NarrowRequest(m=2, k=k, stages=("bnb", "greedy")))
+        milp = engine.narrow(NarrowRequest(m=2, k=k, stages=("milp", "greedy")))
+        assert (bnb.provenance.backend, milp.provenance.backend) == ("bnb", "milp")
+        assert bnb.provenance.proven_optimal and milp.provenance.proven_optimal
+        for field in ("core_product_ids", "selection"):
+            assert bnb.result[field] == milp.result[field]
+        assert bnb.result["weight"].hex() == milp.result["weight"].hex()
+
+    def test_non_finite_graph_is_refused_before_the_chain(
+        self, engine, monkeypatch
+    ):
+        def poisoned(result, config, space=None):
+            graph = similarity.build_item_graph(result, config, space=space)
+            graph.weights[0, 1] = graph.weights[1, 0] = np.nan
+            return graph
+
+        monkeypatch.setattr(engine_module, "build_item_graph", poisoned)
+        # More refusals than any breaker's failure threshold.
+        for attempt in range(5):
+            with pytest.raises(InvalidRequest, match="non-finite"):
+                engine.narrow(m=2, k=3, mu=0.37 + 0.01 * attempt)
+        assert engine.breakers.open_backends() == ()
+        assert engine.health.state() == "healthy"
 
 
 class _FinishedFirst:

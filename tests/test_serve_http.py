@@ -127,7 +127,7 @@ class TestNarrow:
         status, payload = _post(f"{base}/v1/narrow", {"m": 2, "k": 3})
         assert status == 200
         assert payload["result"]["k"] <= 3
-        assert payload["provenance"]["backend"] == "milp"
+        assert payload["provenance"]["backend"] == "bnb"
         assert payload["provenance"]["proven_optimal"] is True
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import errno
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from repro.data.io import save_corpus
@@ -262,6 +264,18 @@ class TestShardFrames:
             engine.close()
 
 
+#: Finite lam/mu past sys.float_info.max ** 0.25: their squares times a
+#: Gram entry or an item distance overflow, so both front ends refuse them.
+LAM_MU_PAST_BOUND = [
+    ("narrow", '{"lam": 1e154, "k": 2}'),
+    ("narrow", '{"lam": 1e154, "k": 3}'),
+    ("narrow", '{"mu": 1e154, "k": 3}'),
+    ("select", '{"lam": 1e154}'),
+    ("select", '{"mu": 1e154}'),
+    ("select", '{"m": 2, "lam": 1.2e77}'),
+]
+
+
 class TestNonFiniteInput:
     """NaN, the infinities and overflowing numbers, which JSON bodies carry."""
 
@@ -285,16 +299,46 @@ class TestNonFiniteInput:
             ("narrow", '{"time_limit": NaN}'),
             ("narrow", '{"time_limit": Infinity}'),
             ("narrow", '{"time_limit": 1%s}' % ("0" * 400)),
+            *LAM_MU_PAST_BOUND,
         ],
         ids=[
             "lam-nan", "mu-inf", "lam-minus-inf", "lam-square-overflows",
             "mu-int-square-overflows", "time_limit-nan", "time_limit-inf",
-            "time_limit-int-overflows",
+            "time_limit-int-overflows", "narrow-lam-1e154-k2",
+            "narrow-lam-1e154-k3", "narrow-mu-1e154-k3", "select-lam-1e154",
+            "select-mu-1e154", "select-lam-past-fourth-root",
         ],
     )
     def test_query_is_422(self, engine, op, body):
         reply = handle_message(engine, {"op": op, "body": json.loads(body)})
         assert reply["status"] == 422, reply
+
+    def test_refused_weights_leave_breakers_and_health_alone(self, engine):
+        # Three rounds reach every breaker's failure threshold, were any
+        # refusal counted against a backend.
+        for _ in range(3):
+            for op, body in LAM_MU_PAST_BOUND:
+                reply = handle_message(engine, {"op": op, "body": json.loads(body)})
+                assert reply["status"] == 422, reply
+        assert engine.breakers.open_backends() == ()
+        health = handle_message(engine, {"op": "healthz"})
+        assert health["status"] == 200
+        assert health["payload"]["status"] == "ok"
+
+    @pytest.mark.parametrize("scheme", ["binary", "3-polarity", "unary-scale"])
+    def test_weights_at_the_bound_answer_finite(self, engine, scheme):
+        bound = repr(sys.float_info.max**0.25)
+        bodies = [
+            ("select", f'{{"m": 3, "scheme": "{scheme}", "lam": {bound}}}'),
+            ("select", f'{{"m": 10, "scheme": "{scheme}", "mu": {bound}}}'),
+            ("narrow", f'{{"k": 3, "scheme": "{scheme}", "lam": {bound}}}'),
+            ("narrow", f'{{"k": 5, "scheme": "{scheme}", "mu": {bound}}}'),
+        ]
+        with np.errstate(all="raise"):
+            for op, body in bodies:
+                reply = handle_message(engine, {"op": op, "body": json.loads(body)})
+                assert reply["status"] == 200, (body, reply)
+                json.dumps(reply["payload"], allow_nan=False)
 
     @pytest.mark.parametrize(
         "mention",

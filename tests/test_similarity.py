@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core.baselines import RandomSelector
+from repro.core.compare_sets_plus import CompareSetsPlusSelector
 from repro.core.objective import pairwise_item_distance
+from repro.core.problem import SelectionConfig
 from repro.core.selection import build_space
+from repro.core.vectors import OpinionScheme
 from repro.graph.similarity import (
     ItemGraph,
     _pairwise_aspect_distances,
     _pairwise_distances_reference,
     build_item_graph,
 )
+from repro.serve.store import ItemStore
 
 
 @pytest.fixture()
@@ -100,6 +104,24 @@ class TestBuildItemGraph:
             phis.append(space.aspect_vector(selected))
         reference = _pairwise_distances_reference(fit_terms, phis, config.mu)
         np.testing.assert_allclose(graph.distances, reference, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("scheme", list(OpinionScheme))
+    def test_shared_space_gives_the_fresh_space_bits(self, cellphone_corpus, scheme):
+        """The serving path builds the graph from the store's memoised
+        space; it must weigh exactly what a fresh space weighs."""
+        store = ItemStore(cellphone_corpus)
+        config = SelectionConfig(max_reviews=3, lam=0.7, mu=0.3, scheme=scheme)
+        target = store.default_target(10, 3)
+        artifacts = store.artifacts(target, config)
+        result = CompareSetsPlusSelector().select(
+            artifacts.instance, config, space=artifacts.space,
+            solver_artifacts=artifacts.solver,
+        )
+        fresh = build_item_graph(result, config)
+        for _ in range(2):  # cold, then warm memo
+            shared = build_item_graph(result, config, space=artifacts.space)
+            assert shared.weights.tobytes() == fresh.weights.tobytes()
+            assert shared.distances.tobytes() == fresh.distances.tobytes()
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shapes"):
