@@ -6,7 +6,7 @@ install:
 	pip install -e .
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest -x -q
 
 # The kernel's byte-identity suites with BLAS pinned to one thread, as
 # perfbench runs: a lone pursuit updates with a mat-vec and a batch with
@@ -19,13 +19,13 @@ test-one-thread:
 		tests/test_integer_regression.py
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src python $$f > /dev/null || exit 1; done
 
 experiments:
-	python -m repro.cli experiment all --scale 0.5 --instances 15
+	PYTHONPATH=src python -m repro.cli experiment all --scale 0.5 --instances 15
 
 # Boot the real HTTP server in a subprocess and hit every endpoint.
 serve-smoke:
@@ -71,9 +71,12 @@ bench-ingest-smoke:
 perfbench-short:
 	python -m pytest perfbench/test_short.py -q
 
-# Mirrors .github/workflows/ci.yml: the test matrix plus the lint job.
-# Lint is skipped with a notice when ruff is not installed locally.
-ci: test lint
+# Mirrors .github/workflows/ci.yml: the test job's steps in order, then
+# the lint job.  Lint is skipped with a notice when ruff is not installed
+# locally.
+ci: test test-one-thread serve-smoke cluster-smoke chaos-smoke \
+	recovery-smoke bench-core-smoke bench-eval-smoke bench-batch-smoke \
+	bench-ingest-smoke perfbench-short lint
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \

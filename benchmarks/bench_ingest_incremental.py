@@ -144,9 +144,12 @@ def _warm_store(corpus, config):
 
 
 def _selections(artifacts, config):
+    space, reviews = artifacts.space, artifacts.instance.reviews
+    gamma = space.aspect_vector(reviews[0])
     results = []
-    for tau, solver in zip(artifacts.taus, artifacts.solver):
-        [selection] = solve_item_many(solver, [(tau, artifacts.gamma, config)])
+    for item, solver in zip(reviews, artifacts.solver):
+        tau = space.opinion_vector(item)
+        [selection] = solve_item_many(solver, [(tau, gamma, config)])
         results.append((selection.selected, selection.objective))
     return results
 

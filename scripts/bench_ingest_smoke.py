@@ -113,11 +113,13 @@ def materialise(artifacts):
 
 
 def selections(artifacts, config):
+    space, reviews = artifacts.space, artifacts.instance.reviews
+    gamma = space.aspect_vector(reviews[0])
     return [
         (sel.selected, sel.objective)
         for sel in (
-            solve_item_many(solver, [(tau, artifacts.gamma, config)])[0]
-            for tau, solver in zip(artifacts.taus, artifacts.solver)
+            solve_item_many(solver, [(space.opinion_vector(item), gamma, config)])[0]
+            for item, solver in zip(reviews, artifacts.solver)
         )
     ]
 

@@ -182,6 +182,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.serve.admission import AdmissionController
     from repro.serve.engine import SelectionEngine, build_durable_engine
     from repro.serve.http import run_server
+    from repro.serve.snapshot import SnapshotError
     from repro.serve.store import ItemStore
 
     if args.shards < 1:
@@ -231,13 +232,16 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.state_dir is not None:
         # Durable serving: WAL-backed ingest, generation snapshots, and
         # snapshot+WAL recovery on restart.
-        engine = build_durable_engine(
-            args.state_dir,
-            corpus_path=args.corpus,
-            cache_tier=args.cache_tier,
-            snapshot_every=args.snapshot_every,
-            **engine_options,
-        )
+        try:
+            engine = build_durable_engine(
+                args.state_dir,
+                corpus_path=args.corpus,
+                cache_tier=args.cache_tier,
+                snapshot_every=args.snapshot_every,
+                **engine_options,
+            )
+        except SnapshotError as exc:
+            raise _fail_usage(str(exc)) from None
         recovery = engine.recovery.as_dict() if engine.recovery else {}
         print(
             f"recovered state ({recovery.get('mode', 'cold')}): "

@@ -295,9 +295,10 @@ def regression_columns(
     Row layout: the opinion incidence block, the lambda-scaled aspect
     incidence block, then ``sync_blocks`` copies of the mu-scaled aspect
     block (one per other item in the Algorithm-1 target Upsilon).  With
-    ``sync_blocks=0`` this is exactly the CompaReSetS matrix of Eq. 4;
-    CompaReSetS+ and the serving :class:`~repro.serve.store.ItemStore`
-    share this single construction path.
+    ``sync_blocks=0`` this is exactly the CompaReSetS matrix of Eq. 4.
+    The nnls reference selectors (``use_kernel=False``) solve on it; the
+    kernel's :class:`~repro.core.omp_kernel.SolverArtifacts` keeps the
+    same incidence blocks unstacked.
     """
     if sync_blocks < 0:
         raise ValueError(f"sync_blocks must be >= 0, got {sync_blocks}")

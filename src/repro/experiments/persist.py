@@ -198,16 +198,24 @@ class ResultJournal:
     truncates a torn final record (the signature of a crash mid-append;
     the run redoes that one instance) and raises
     :class:`~repro.serve.wal.WALCorruptError` on damage before the tail,
-    leaving the file as it was.  The first record is a header that
-    carries the journal version.
+    leaving the file as it was.  So does a non-empty file whose first
+    byte cannot begin a frame (frames begin with their decimal length,
+    journals from before the framing with ``{``), whatever its length.
+    The first record is a header that carries the journal version.
     """
 
     def __init__(self, path: str | Path) -> None:
         # Imported here: run_selector imports this module in processes
         # that never open a journal, and repro.serve is costly to load.
-        from repro.serve.wal import WriteAheadLog
+        from repro.serve.wal import WALCorruptError, WriteAheadLog
 
         self.path = Path(path)
+        if self.path.is_file():
+            # The log would take a one-line unframed file for a torn record.
+            with self.path.open("rb") as handle:
+                first = handle.read(1)
+            if first and not first.isdigit():
+                raise WALCorruptError(f"{self.path}: not a framed journal")
         self._log = WriteAheadLog(self.path)
         self._entries: dict[tuple[str, int], dict] = {}
         for seq, record in self._log.replay():

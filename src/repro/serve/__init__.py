@@ -5,8 +5,8 @@ The batch pipeline answers "regenerate Table 4"; this package answers
 pieces compose bottom-up:
 
 * :mod:`repro.serve.store` — :class:`ItemStore`: corpus ingested once,
-  per-instance artifacts (vector space, tau/Gamma, incidence matrices)
-  precomputed behind versioned keys.
+  per-instance artifacts (vector space, per-item incidence matrices and
+  Gram blocks) precomputed behind versioned keys.
 * :mod:`repro.serve.cache` — :class:`ResultCache`: thread-safe LRU+TTL
   results with single-flight coalescing of concurrent identical requests.
 * :mod:`repro.serve.batch` — :class:`MicroBatcher`: same-target request

@@ -25,7 +25,6 @@ same-port rebind on restart), so shard crash-restarts ride the existing
 
 from __future__ import annotations
 
-import signal
 import socketserver
 import threading
 import time
@@ -34,6 +33,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.cluster.proto import FrameError, recv_frame, send_frame
 from repro.serve.engine import SelectionEngine, build_durable_engine
 from repro.serve.store import DeltaValidationError
+from repro.serve.supervisor import serve_child
 from repro.serve.wire import (
     BadRequest,
     WireError,
@@ -272,46 +272,18 @@ def shard_child_main(
 ) -> None:
     """Supervisor child entry point for one shard worker.
 
-    The mirror of :func:`repro.serve.supervisor._child_main` with the
-    HTTP server swapped for :class:`ShardServer`: recover the shard's
-    durable state, report ``{"port", "version", "recovery"}`` over the
-    pipe, serve frames until SIGTERM (drain, then exit).
+    :func:`~repro.serve.supervisor.serve_child` with the HTTP server
+    swapped for :class:`ShardServer`: recover the shard's durable state,
+    report readiness over the pipe, serve frames until SIGTERM (drain,
+    then exit).
     """
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-    try:
-        engine = _build_shard_engine(
+    serve_child(
+        conn,
+        lambda: _build_shard_engine(
             state_dir, corpus_path=corpus_path, restarts=restarts, options=options
-        )
-        server = ShardServer((host, port), engine)
-    except Exception as exc:
-        try:
-            conn.send({"error": f"{type(exc).__name__}: {exc}"})
-        finally:
-            conn.close()
-        raise
-    recovery = engine.recovery.as_dict() if engine.recovery else None
-    conn.send(
-        {
-            "port": server.server_address[1],
-            "version": engine.store.version,
-            "recovery": recovery,
-        }
+        ),
+        lambda engine: ShardServer((host, port), engine),
     )
-    conn.close()
-
-    def _terminate(signum, frame) -> None:
-        threading.Thread(
-            target=lambda: (engine.drain(10.0), server.shutdown()),
-            name="repro-shard-drain",
-            daemon=True,
-        ).start()
-
-    signal.signal(signal.SIGTERM, _terminate)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
 
 
 def _build_shard_engine(

@@ -662,7 +662,8 @@ class SelectionEngine:
         if self.snapshots is not None:
             # A reload starts a new lineage: WAL records for the old one
             # are obsolete.  Snapshot the fresh generation immediately so
-            # a crash right after the reload recovers to it, and compact
+            # a crash right after the reload recovers to it; the save
+            # drops the old lineage's snapshots, so the compaction takes
             # the stale tail away.  Failure is non-fatal — serving is
             # already on the new corpus; the next snapshot retries.
             try:
@@ -793,10 +794,10 @@ class SelectionEngine:
     def snapshot(self) -> SnapshotInfo:
         """Write an atomic generation snapshot and compact the WAL.
 
-        Everything at or below the snapshot's WAL watermark is covered
-        by the snapshot, so the log keeps only the tail the next
-        recovery still needs.  Raises :class:`RuntimeError` when no
-        snapshot manager is configured.
+        The log keeps every record past the *oldest* kept snapshot's
+        watermark, so recovery from any kept snapshot still finds its
+        tail.  Raises :class:`RuntimeError` when no snapshot manager is
+        configured.
         """
         if self.snapshots is None:
             raise RuntimeError("snapshots are not configured (no state dir)")
@@ -804,7 +805,7 @@ class SelectionEngine:
             wal_seq = self.wal.last_seq if self.wal is not None else 0
             info = self.snapshots.save(self.store, wal_seq=wal_seq)
             if self.wal is not None:
-                self.wal.compact(info.wal_seq)
+                self.wal.compact(self.snapshots.oldest_watermark())
             self._deltas_since_snapshot = 0
         self.metrics.counter(
             "repro_snapshots_total", "generation snapshots written"
@@ -928,7 +929,7 @@ class SelectionEngine:
         # chain token, across process restarts in the shared tier).
         key: tuple = (
             endpoint,
-            artifacts.chain if artifacts.chain else artifacts.version,
+            artifacts.chain,
             request.target,
             artifacts.comparative_ids,
             request.m,
@@ -1097,7 +1098,7 @@ class SelectionEngine:
         ).observe(len(requests))
         groups: dict[int, list[int]] = {}
         for position, (request, artifacts) in enumerate(requests):
-            if request.algorithm in BATCHABLE_ALGORITHMS and artifacts.solver:
+            if request.algorithm in BATCHABLE_ALGORITHMS:
                 groups.setdefault(id(artifacts), []).append(position)
         stacked = [members for members in groups.values() if len(members) >= 2]
         in_group = {position for members in stacked for position in members}
@@ -1179,7 +1180,7 @@ class SelectionEngine:
                 artifacts.instance,
                 config,
                 space=artifacts.space,
-                solver_artifacts=artifacts.solver or None,
+                solver_artifacts=artifacts.solver,
             )
         else:
             result = selector.select(artifacts.instance, config)

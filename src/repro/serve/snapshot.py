@@ -12,19 +12,24 @@ re-walking the corpus:
   (same-process-family restore; orders of magnitude faster than
   re-parsing JSONL);
 * ``artifact-NNN.npz`` — one file per memoised
-  :class:`~repro.serve.store.InstanceArtifacts`: gamma, per-item taus and
-  regression columns, per-item opinion/aspect incidence matrices and the
-  base Gram blocks.  On restore these are injected into
+  :class:`~repro.serve.store.InstanceArtifacts`: per item i, the
+  incidence matrices ``op_i``/``asp_i`` and base Gram blocks
+  ``gop_i``/``gasp_i``, injected on restore into
   :class:`~repro.core.omp_kernel.SolverArtifacts`, skipping the
   tokenised-corpus walks and Gram matmuls that dominate cold ingest.
+
+This is format 2.  The reader also accepts format 1, which stored
+``gamma``/``tau_i``/``col_i`` arrays besides, that no solve reads.
 
 Write protocol: everything is staged into a hidden temp directory in the
 snapshot root, every file fsynced, then the directory is atomically
 ``os.replace``d to its final ``snap-NNNNNNNN`` name and the root fsynced.
 A crash mid-save leaves a ``.tmp-*`` orphan (swept on the next save) and
-the previous snapshots untouched.  Load walks snapshots newest-first and
-falls back on checksum/parse failure — a corrupt latest snapshot costs
-the deltas since the previous one, which the WAL still has.
+the previous snapshots untouched.  The newest ``keep`` snapshots are
+kept, all of one lineage (a reload is not a WAL record, so no fallback
+may cross one), and the engine compacts the WAL only up to the oldest's
+watermark: load walks snapshots newest-first, and falling back on a
+checksum/parse failure costs a longer replay, not deltas.
 
 :func:`open_durable_store` is the recovery entry point the supervisor and
 CLI use: snapshot-load, WAL-replay, and provenance in one call.
@@ -53,7 +58,8 @@ from repro.serve.wal import WriteAheadLog
 
 _MANIFEST = "MANIFEST.json"
 _CORPUS = "corpus.pkl"
-_FORMAT = 1
+_FORMAT = 2
+_READABLE_FORMATS = (1, 2)
 
 
 class SnapshotError(RuntimeError):
@@ -109,6 +115,14 @@ class RecoveryInfo:
             "restarts": self.restarts,
             "errors": list(self.errors),
         }
+
+
+def _manifest_value(path: Path, key: str):
+    """``key`` of a snapshot's manifest, or None when it does not read."""
+    try:
+        return json.loads((path / _MANIFEST).read_text()).get(key)
+    except (OSError, ValueError, AttributeError):
+        return None
 
 
 def _npz_bytes(arrays: dict[str, np.ndarray]) -> bytes:
@@ -167,11 +181,7 @@ class SnapshotManager:
             artifact_entries = []
             for index, (key, artifacts) in enumerate(exported):
                 name = f"artifact-{index:03d}.npz"
-                arrays: dict[str, np.ndarray] = {"gamma": artifacts.gamma}
-                for item, tau in enumerate(artifacts.taus):
-                    arrays[f"tau_{item}"] = tau
-                for item, cols in enumerate(artifacts.columns):
-                    arrays[f"col_{item}"] = cols
+                arrays: dict[str, np.ndarray] = {}
                 for item, solver in enumerate(artifacts.solver):
                     arrays[f"op_{item}"] = solver._opinion
                     arrays[f"asp_{item}"] = solver._aspect
@@ -188,7 +198,7 @@ class SnapshotManager:
                         "min_reviews": min_reviews,
                         "scheme": scheme,
                         "lam": lam,
-                        "items": len(artifacts.taus),
+                        "items": len(artifacts.solver),
                     }
                 )
 
@@ -217,7 +227,7 @@ class SnapshotManager:
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise
-        self._prune()
+        self._prune(lineage)
         return SnapshotInfo(
             path=final,
             version=version,
@@ -238,10 +248,20 @@ class SnapshotManager:
         for orphan in self.root.glob(".tmp-snap-*"):
             shutil.rmtree(orphan, ignore_errors=True)
 
-    def _prune(self) -> None:
+    def _prune(self, lineage: str) -> None:
+        """Keep the newest ``keep`` snapshots, all of ``lineage``: a reload
+        is not a WAL record, so no fallback may cross one."""
+        *older, _newest = self.list_snapshots()
+        for rank, path in enumerate(reversed(older), start=2):
+            if rank > self.keep or _manifest_value(path, "lineage") != lineage:
+                shutil.rmtree(path, ignore_errors=True)
+
+    def oldest_watermark(self) -> int:
+        """The oldest kept snapshot's WAL watermark (0 if unreadable):
+        compacting no further keeps every kept snapshot's replay tail."""
         snapshots = self.list_snapshots()
-        for stale in snapshots[: -self.keep]:
-            shutil.rmtree(stale, ignore_errors=True)
+        seq = _manifest_value(snapshots[0], "wal_seq") if snapshots else 0
+        return seq if type(seq) is int else 0
 
     # -- load ----------------------------------------------------------------
 
@@ -263,7 +283,7 @@ class SnapshotManager:
             manifest = json.loads(manifest_path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise SnapshotCorruptError(f"{manifest_path}: {exc}") from exc
-        if manifest.get("format") != _FORMAT:
+        if manifest.get("format") not in _READABLE_FORMATS:
             raise SnapshotCorruptError(
                 f"{path}: unsupported snapshot format {manifest.get('format')!r}"
             )
@@ -300,9 +320,6 @@ class SnapshotManager:
                         int(entry["min_reviews"]),
                         OpinionScheme(entry["scheme"]),
                         float(entry["lam"]),
-                        gamma=arrays["gamma"],
-                        taus=[arrays[f"tau_{i}"] for i in range(items)],
-                        columns=[arrays[f"col_{i}"] for i in range(items)],
                         incidence=[
                             (arrays[f"op_{i}"], arrays[f"asp_{i}"])
                             for i in range(items)
@@ -334,9 +351,13 @@ def open_durable_store(
 
     Recovery order: newest intact snapshot, then WAL records newer than
     the snapshot's watermark, replayed in sequence order.  With no
-    usable snapshot, the corpus is cold-loaded from ``corpus_path`` and
+    snapshot at all, the corpus is cold-loaded from ``corpus_path`` and
     the *entire* WAL replays on top.  Corrupt snapshots are skipped
     (recorded in the provenance) — never trusted, never deleted here.
+    :class:`SnapshotError` refuses, touching no file, a cold start when
+    every snapshot is corrupt, and a WAL that begins past the watermark
+    + 1 (seq 1 for a cold start): either may hide acked deltas, or a
+    reload, that recovery cannot rebuild.
 
     A delta that was fsynced but never acknowledged (crash inside the
     ack window) legally reappears after recovery; nothing acknowledged
@@ -366,6 +387,21 @@ def open_durable_store(
         info.restored_artifacts = manifest.get("_restored_artifacts", 0)
         wal_seq = int(manifest.get("wal_seq", 0))
         break
+
+    if store is None and info.snapshots_skipped:
+        # A snapshot may hold a reload, or deltas the WAL no longer has.
+        raise SnapshotError(
+            f"{manager.root}: no snapshot is readable ({info.errors[0]})"
+        )
+    # Sequence numbers are contiguous: a log that begins past the next
+    # expected record has lost acked deltas.
+    first_seq = next(wal.replay(), (wal_seq + 1,))[0]
+    if first_seq > wal_seq + 1:
+        raise SnapshotError(
+            f"{wal.path}: begins at seq {first_seq}, not {wal_seq + 1}: "
+            "acked deltas are missing"
+        )
+    wal.raise_floor(wal_seq)  # compaction may have emptied the log
 
     if store is None:
         if corpus_path is None:

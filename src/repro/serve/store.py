@@ -1,11 +1,11 @@
 """Precomputed per-instance artifact store for online serving.
 
 The batch CLI rebuilds everything per invocation: parse the corpus,
-resolve the comparison instance, derive the vector space, tau/Gamma
-targets, and per-review incidence matrices, then solve.  Online, only the
-*solve* should be per-request work — the rest is a pure function of the
-corpus and a handful of shaping parameters, so :class:`ItemStore` ingests
-the corpus once and memoises those artifacts behind versioned keys.
+resolve the comparison instance, derive the vector space and each item's
+incidence matrices and Gram blocks, then solve.  Online, only the *solve*
+should be per-request work — the rest is a pure function of the corpus
+and a handful of shaping parameters, so :class:`ItemStore` ingests the
+corpus once and memoises those artifacts behind versioned keys.
 
 Versioning: every (re)load bumps a monotonic generation counter and
 recomputes a content fingerprint; :attr:`ItemStore.version` concatenates
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.omp_kernel import SolverArtifacts
 from repro.core.problem import SelectionConfig
-from repro.core.vectors import OpinionScheme, VectorSpace, regression_columns
+from repro.core.vectors import OpinionScheme, VectorSpace
 from repro.data.corpus import Corpus
 from repro.data.instances import ComparisonInstance, build_instance
 from repro.data.io import load_corpus
@@ -140,29 +140,23 @@ class DeltaOutcome:
 class InstanceArtifacts:
     """Everything precomputable for one (instance, scheme, lambda) triple.
 
-    ``taus[i]`` is the full-collection opinion distribution tau_i of item
-    i, ``gamma`` the target item's aspect distribution Gamma, and
-    ``columns[i]`` the stacked Eq.-4 regression matrix of item i (opinion
-    block over the lambda-scaled aspect block) — the same construction the
-    offline selectors use via
-    :func:`~repro.core.vectors.regression_columns`.  ``space`` carries the
-    per-review incidence memoisation, so repeated solves against the same
-    artifacts skip the tokenised-corpus walk entirely.  ``solver[i]`` is
-    item i's Batch-OMP :class:`~repro.core.omp_kernel.SolverArtifacts`
-    (dedup groups, unique columns, Gram blocks): warm requests skip dedup
-    + Gram entirely, and the CompaReSetS+ per-``mu`` sync blocks memoise
-    inside it on first use.  Like everything here, it is versioned with
-    the store generation and dropped wholesale on reload.
+    ``space`` carries the per-review incidence memoisation, so a solve
+    computes tau_i and Gamma from it without walking the tokenised corpus.
+    ``solver[i]`` is item i's Batch-OMP
+    :class:`~repro.core.omp_kernel.SolverArtifacts`: the incidence
+    matrices of its Eq.-4 matrix [O; lambda*A], their dedup groups and
+    Gram blocks, so warm requests skip dedup + Gram entirely, and the
+    CompaReSetS+ per-``mu`` sync blocks memoise inside it on first use.
+    ``chain`` is the generation chain (see :attr:`chain_token`).  Like
+    everything here, it is versioned with the store generation and dropped
+    wholesale on reload.
     """
 
     version: str
     instance: ComparisonInstance
     space: VectorSpace
-    gamma: np.ndarray
-    taus: tuple[np.ndarray, ...]
-    columns: tuple[np.ndarray, ...]
-    solver: tuple[SolverArtifacts, ...] = ()
-    chain: tuple = ()
+    solver: tuple[SolverArtifacts, ...]
+    chain: tuple
 
     @property
     def comparative_ids(self) -> tuple[str, ...]:
@@ -182,7 +176,7 @@ class InstanceArtifacts:
         lineage and epochs), but can never be served after a delta to
         any product in its instance.
         """
-        lineage, epochs = self.chain if self.chain else ("", ())
+        lineage, epochs = self.chain
         pairs = ",".join(f"{pid}:{epoch}" for pid, epoch in epochs)
         return f"{lineage}|{pairs}"
 
@@ -274,16 +268,8 @@ def _patch_mismatch(
     mode trades the patch's laziness for a full cross-check — that is the
     point of the mode.
     """
-    if patched.gamma.tobytes() != cold.gamma.tobytes():
-        return "gamma"
-    if len(patched.taus) != len(cold.taus):
-        return "tau count"
-    for index, (left, right) in enumerate(zip(patched.taus, cold.taus)):
-        if left.tobytes() != right.tobytes():
-            return f"tau[{index}]"
-    for index, (left, right) in enumerate(zip(patched.columns, cold.columns)):
-        if left.shape != right.shape or left.tobytes() != right.tobytes():
-            return f"columns[{index}]"
+    if len(patched.solver) != len(cold.solver):
+        return "item count"
     for index, (ours, theirs) in enumerate(zip(patched.solver, cold.solver)):
         if ours._opinion.tobytes() != theirs._opinion.tobytes():
             return f"solver[{index}].opinion"
@@ -593,9 +579,9 @@ class ItemStore:
         under-reviewed candidate over ``min_reviews`` and change the
         comparative set.  Untouched entries carry over by reference
         (solve memos and all).  Touched artifacts take the patch path:
-        if the comparative set and aspect vocabulary are unchanged, the
-        per-item invariants are *extended* — bordered-Gram updates,
-        incremental dedup, appended tau/Gamma/column algebra — instead of
+        if the comparative set and aspect vocabulary are unchanged, each
+        touched item's solver artifacts are *extended* — incremental
+        dedup and bordered-Gram updates, O(delta) per item — instead of
         dropped; otherwise they are dropped for a lazy cold rebuild.
 
         Returns ``(patched, rebuilt, verify_failures)``.
@@ -649,7 +635,7 @@ class ItemStore:
                 new.instances[key] = instances[key]
             instance = instances[key]
             successor = self._patched_artifacts(
-                new, art_key, artifacts, instance, affected, delta_by_product
+                new, artifacts, instance, delta_by_product
             )
             if successor is None:
                 rebuilt += 1
@@ -678,10 +664,8 @@ class ItemStore:
     def _patched_artifacts(
         self,
         new: _Generation,
-        art_key: _ArtifactKey,
         artifacts: InstanceArtifacts,
         instance: ComparisonInstance | None,
-        affected: set[str],
         delta_by_product: Mapping[str, Sequence[Review]],
     ) -> InstanceArtifacts | None:
         """Extend ``artifacts`` to cover ``instance`` on the new corpus.
@@ -698,10 +682,6 @@ class ItemStore:
         if tuple(p.product_id for p in instance.products) != tuple(
             p.product_id for p in old_instance.products
         ):
-            return None
-        if len(artifacts.solver) != len(old_instance.reviews) or len(
-            artifacts.columns
-        ) != len(old_instance.reviews):
             return None
         space = artifacts.space
         for product in instance.products:
@@ -724,27 +704,14 @@ class ItemStore:
                 for offset, review in enumerate(delta)
             ):
                 return None
-        gamma = space.aspect_vector(instance.reviews[0])
-        taus = tuple(space.opinion_vector(reviews) for reviews in instance.reviews)
-        columns: list[np.ndarray] = []
         solver: list[SolverArtifacts] = []
-        for index, product in enumerate(instance.products):
+        for item, product in zip(artifacts.solver, instance.products):
             delta = delta_by_product.get(product.product_id, ())
-            if delta:
-                columns.append(
-                    regression_columns(space, instance.reviews[index], art_key.lam)
-                )
-                solver.append(artifacts.solver[index].extended(delta))
-            else:
-                columns.append(artifacts.columns[index])
-                solver.append(artifacts.solver[index])
+            solver.append(item.extended(delta) if delta else item)
         return InstanceArtifacts(
             version=new.version,
             instance=instance,
             space=space,
-            gamma=gamma,
-            taus=taus,
-            columns=tuple(columns),
             solver=tuple(solver),
             chain=self._chain_for(new, instance),
         )
@@ -761,14 +728,6 @@ class ItemStore:
             version=generation.version,
             instance=instance,
             space=space,
-            gamma=space.aspect_vector(instance.reviews[0]),
-            taus=tuple(
-                space.opinion_vector(reviews) for reviews in instance.reviews
-            ),
-            columns=tuple(
-                regression_columns(space, reviews, art_key.lam)
-                for reviews in instance.reviews
-            ),
             solver=tuple(
                 SolverArtifacts(space, reviews, art_key.lam)
                 for reviews in instance.reviews
@@ -814,9 +773,6 @@ class ItemStore:
         scheme: OpinionScheme,
         lam: float,
         *,
-        gamma: np.ndarray,
-        taus: Sequence[np.ndarray],
-        columns: Sequence[np.ndarray],
         incidence: Sequence[tuple[np.ndarray, np.ndarray]],
         base_grams: Sequence[tuple[np.ndarray, np.ndarray]],
     ) -> InstanceArtifacts | None:
@@ -824,8 +780,8 @@ class ItemStore:
 
         The instance itself is rebuilt from the (restored) corpus — that
         is cheap id/lookup work — while the expensive derived arrays
-        (incidence matrices, Gram blocks, regression columns) are
-        injected from the snapshot instead of recomputed.  Returns None
+        (incidence matrices and base Gram blocks) are injected from the
+        snapshot instead of recomputed.  Returns None
         when the target is no longer viable under these parameters,
         which only happens if the snapshot does not match the corpus.
         """
@@ -851,9 +807,6 @@ class ItemStore:
             version=generation.version,
             instance=instance,
             space=space,
-            gamma=gamma,
-            taus=tuple(taus),
-            columns=tuple(columns),
             solver=solver,
             chain=self._chain_for(generation, instance),
         )

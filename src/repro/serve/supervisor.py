@@ -9,10 +9,10 @@ death, and restarting it through the durable-open recovery path — so a
 
 The division of labour:
 
-* the child (:func:`_child_main`) opens the durable store (snapshot load
-  + WAL replay), builds a :class:`~repro.serve.engine.SelectionEngine`,
-  reports its bound port and recovery provenance back over a pipe, and
-  serves until killed;
+* the child (:func:`_child_main`, through :func:`serve_child`) opens
+  the durable store (snapshot load + WAL replay), builds a
+  :class:`~repro.serve.engine.SelectionEngine`, reports its bound port
+  and recovery provenance back over a pipe, and serves until killed;
 * the parent keeps almost no state — the durable truth lives on disk —
   just the restart count (stamped into each child's recovery provenance,
   surfaced at ``/healthz``) and the first child's bound port, which every
@@ -63,31 +63,21 @@ class RestartPolicy:
         return self.max_restarts is not None and restarts >= self.max_restarts
 
 
-def _child_main(
-    state_dir: str,
-    corpus_path: str | None,
-    host: str,
-    port: int,
-    restarts: int,
-    options: dict,
-    conn,
-) -> None:
-    """Child entry point: recover, serve, report readiness over ``conn``."""
-    # The parent's signal handlers must not leak into the child; the
-    # HTTP layer installs its own graceful-drain handling.
+def serve_child(conn, build_engine, make_server) -> None:
+    """Run one supervised child: build, report readiness, serve.
+
+    Resets the parent's signal handlers, builds the engine with
+    ``build_engine()`` and its server with ``make_server(engine)``, and
+    reports ``{"port", "version", "recovery"}`` — or ``{"error"}`` — over
+    ``conn``.  Then serves until stopped: SIGTERM drains the engine for
+    up to 10 s and shuts the server down.
+    """
+    # The parent's signal handlers must not leak into the child.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
-    from repro.serve.engine import build_durable_engine
-    from repro.serve.http import make_server
-
     try:
-        engine = build_durable_engine(
-            state_dir,
-            corpus_path=corpus_path,
-            restarts=restarts,
-            **options,
-        )
-        server = make_server(engine, host, port)
+        engine = build_engine()
+        server = make_server(engine)
     except Exception as exc:
         try:
             conn.send({"error": f"{type(exc).__name__}: {exc}"})
@@ -118,6 +108,28 @@ def _child_main(
         server.serve_forever()
     finally:
         server.server_close()
+
+
+def _child_main(
+    state_dir: str,
+    corpus_path: str | None,
+    host: str,
+    port: int,
+    restarts: int,
+    options: dict,
+    conn,
+) -> None:
+    """Child entry point: recover, serve, report readiness over ``conn``."""
+    from repro.serve.engine import build_durable_engine
+    from repro.serve.http import make_server
+
+    serve_child(
+        conn,
+        lambda: build_durable_engine(
+            state_dir, corpus_path=corpus_path, restarts=restarts, **options
+        ),
+        lambda engine: make_server(engine, host, port),
+    )
 
 
 class Supervisor:

@@ -222,7 +222,14 @@ class WriteAheadLog:
 
     @property
     def last_seq(self) -> int:
-        return self._records[-1][0] if self._records else self._seq_floor
+        last = self._records[-1][0] if self._records else 0
+        return max(last, self._seq_floor)
+
+    def raise_floor(self, seq: int) -> None:
+        """Number the next append after ``seq`` at least (the floor is not
+        persisted, so an emptied log reopens at 0)."""
+        with self._lock:
+            self._seq_floor = max(self._seq_floor, int(seq))
 
     def replay(self, after_seq: int = 0) -> Iterator[tuple[int, dict]]:
         """Yield ``(seq, payload)`` for every record with ``seq > after_seq``."""

@@ -189,6 +189,24 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert path.read_bytes() == before
 
+    def test_one_line_pre_framing_journal_exits_2_untouched(
+        self, tmp_path, capsys
+    ):
+        # The log alone takes a lone unframed line for a torn record.
+        path = tmp_path / "one.journal"
+        path.write_text('{"kind":"header","version":1}\n', encoding="utf-8")
+        before = path.read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "experiment", "table2", "--scale", "0.25", "--instances", "1",
+                "--checkpoint", str(path),
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint journal {path} is unusable")
+        assert err.count("\n") == 1
+        assert path.read_bytes() == before
+
     def test_checkpoint_journal_directory_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([
@@ -225,3 +243,30 @@ class TestUsageErrors:
         out = capsys.readouterr().out
         assert "--replicas must be >= 1" in out
         assert out.count("\n") == 1
+
+    def test_serve_state_dir_with_wal_gap_exits_2_untouched(
+        self, corpus_file, tmp_path, capsys, monkeypatch
+    ):
+        from repro.serve.wal import WriteAheadLog
+
+        monkeypatch.setattr(
+            "repro.serve.http.run_server",
+            lambda *args, **kwargs: pytest.fail("served over a WAL gap"),
+        )
+        state = tmp_path / "state"
+        wal = WriteAheadLog(state / "ingest.wal")
+        for _ in range(3):
+            wal.append({"kind": "delta", "reviews": []})
+        wal.compact(upto_seq=2)  # no snapshot covers seqs 1-2
+        wal.close()
+        before = (state / "ingest.wal").read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "serve", "--corpus", str(corpus_file),
+                "--state-dir", str(state), "--port", "0",
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "acked deltas are missing" in err
+        assert err.count("\n") == 1
+        assert (state / "ingest.wal").read_bytes() == before

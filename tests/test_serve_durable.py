@@ -18,6 +18,7 @@ from repro.data.synthetic import generate_corpus
 from repro.serve.cachetier import InMemoryBackend, SharedCacheTier
 from repro.serve.engine import SelectionEngine, build_durable_engine
 from repro.serve.http import make_server
+from repro.serve.snapshot import SnapshotError
 from repro.serve.store import DeltaValidationError, ItemStore
 
 
@@ -140,6 +141,106 @@ class TestDurableIngest:
             assert engine.wal.last_seq == 1
         finally:
             engine.close()
+
+
+def _tree_bytes(root) -> dict:
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestAckedDeltasSurviveCompaction:
+    """Recovered == live across WAL compaction and damaged snapshots."""
+
+    def _engine(self, state, corpus_path):
+        return build_durable_engine(
+            state, corpus_path=corpus_path, snapshot_every=4, workers=1
+        )
+
+    def _ingest(self, engine, numbers) -> list[dict]:
+        product = engine.store.corpus.products[0].product_id
+        return [engine.ingest_reviews([_record(n, product)]) for n in numbers]
+
+    def test_restart_over_emptied_wal_keeps_counting(self, corpus_path, tmp_path):
+        state = tmp_path / "state"
+        engine = self._engine(state, corpus_path)
+        self._ingest(engine, range(1, 5))
+        assert len(engine.wal) == 0  # the auto-snapshot at 4 compacted all
+        engine.close()
+
+        engine = self._engine(state, corpus_path)
+        assert engine.recovery.mode == "snapshot"
+        acks = self._ingest(engine, (5, 6))
+        assert [ack["wal_seq"] for ack in acks] == [5, 6]
+        live = engine.store.stats()
+        engine.close()
+
+        engine = self._engine(state, corpus_path)
+        try:
+            assert engine.recovery.mode == "snapshot+wal"
+            assert engine.recovery.replayed_deltas == 2
+            assert engine.store.stats()["version"] == live["version"]
+            assert engine.store.stats()["reviews"] == live["reviews"]
+        finally:
+            engine.close()
+
+    def _ten_deltas(self, state, corpus_path):
+        engine = self._engine(state, corpus_path)
+        self._ingest(engine, range(1, 11))
+        snapshots = engine.snapshots.list_snapshots()
+        assert len(snapshots) == 2  # written at the 4th and 8th deltas
+        # The WAL keeps the tail of the older snapshot (watermark 4).
+        assert [seq for seq, _ in engine.wal.replay()] == list(range(5, 11))
+        live = engine.store.stats()
+        engine.close()
+        return snapshots, live
+
+    def test_damaged_newest_snapshot_recovers_live_state(
+        self, corpus_path, tmp_path
+    ):
+        state = tmp_path / "state"
+        snapshots, live = self._ten_deltas(state, corpus_path)
+        (snapshots[-1] / "corpus.pkl").write_bytes(b"not a pickle")
+        engine = self._engine(state, corpus_path)
+        try:
+            assert engine.recovery.snapshots_skipped == 1
+            assert engine.recovery.mode == "snapshot+wal"
+            assert engine.recovery.replayed_deltas == 6
+            assert engine.store.stats()["version"] == live["version"]
+            assert engine.store.stats()["reviews"] == live["reviews"]
+        finally:
+            engine.close()
+
+    def test_every_snapshot_damaged_refuses_untouched(self, corpus_path, tmp_path):
+        state = tmp_path / "state"
+        snapshots, _ = self._ten_deltas(state, corpus_path)
+        for snapshot in snapshots:
+            (snapshot / "corpus.pkl").write_bytes(b"not a pickle")
+        before = _tree_bytes(state)
+        with pytest.raises(SnapshotError, match="no snapshot is readable"):
+            self._engine(state, corpus_path)
+        assert _tree_bytes(state) == before
+
+    def test_damaged_snapshot_after_reload_refuses_untouched(
+        self, corpus, corpus_path, tmp_path
+    ):
+        state = tmp_path / "state"
+        engine = self._engine(state, corpus_path)
+        self._ingest(engine, range(1, 6))
+        engine.reload_corpus(corpus)
+        # The reload's snapshot dropped the previous corpus's snapshot,
+        # so no fallback can cross the reload, and emptied the WAL.
+        [snapshot] = engine.snapshots.list_snapshots()
+        assert len(engine.wal) == 0
+        self._ingest(engine, (6, 7))
+        engine.close()
+        (snapshot / "corpus.pkl").write_bytes(b"not a pickle")
+        before = _tree_bytes(state)
+        with pytest.raises(SnapshotError):
+            self._engine(state, corpus_path)
+        assert _tree_bytes(state) == before
 
 
 class TestSelectiveInvalidation:

@@ -11,6 +11,7 @@ rebuilds, including the cases that must *refuse* to patch.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -40,13 +41,20 @@ def _assert_blocks_equal(patched: GramBlock, cold: GramBlock) -> None:
     assert patched.nonnegative() == cold.nonnegative()
 
 
+def _targets(artifacts):
+    """Gamma and every tau_i, computed from the space as a solve does."""
+    space, reviews = artifacts.space, artifacts.instance.reviews
+    return space.aspect_vector(reviews[0]), [
+        space.opinion_vector(item) for item in reviews
+    ]
+
+
 def _assert_artifacts_equal(patched, cold) -> None:
-    assert patched.gamma.tobytes() == cold.gamma.tobytes()
-    assert len(patched.taus) == len(cold.taus)
-    for left, right in zip(patched.taus, cold.taus):
-        assert left.tobytes() == right.tobytes()
-    for left, right in zip(patched.columns, cold.columns):
-        assert left.shape == right.shape
+    gamma, taus = _targets(patched)
+    cold_gamma, cold_taus = _targets(cold)
+    assert gamma.tobytes() == cold_gamma.tobytes()
+    assert len(taus) == len(cold_taus)
+    for left, right in zip(taus, cold_taus):
         assert left.tobytes() == right.tobytes()
     assert len(patched.solver) == len(cold.solver)
     for ours, theirs in zip(patched.solver, cold.solver):
@@ -120,13 +128,14 @@ class TestDeltaConvergence:
             patched = store.artifacts(target, config, min_reviews=1)
             cold = cold_store.artifacts(target, config, min_reviews=1)
             _assert_artifacts_equal(patched, cold)
+            gamma, taus = _targets(patched)
+            cold_gamma, cold_taus = _targets(cold)
             for index in range(len(patched.solver)):
                 [warm] = solve_item_many(
-                    patched.solver[index],
-                    [(patched.taus[index], patched.gamma, config)],
+                    patched.solver[index], [(taus[index], gamma, config)]
                 )
                 [fresh] = solve_item_many(
-                    cold.solver[index], [(cold.taus[index], cold.gamma, config)]
+                    cold.solver[index], [(cold_taus[index], cold_gamma, config)]
                 )
                 assert warm.selected == fresh.selected, scheme
                 assert warm.objective == fresh.objective, scheme
@@ -291,11 +300,15 @@ class TestTargetedCases:
 
         real = ItemStore._patched_artifacts
 
-        def corrupting(self, new, art_key, artifacts, instance, affected, deltas):
-            patched = real(self, new, art_key, artifacts, instance, affected, deltas)
+        def corrupting(self, new, artifacts, instance, deltas):
+            patched = real(self, new, artifacts, instance, deltas)
             if patched is None:
                 return None
-            return dataclasses.replace(patched, gamma=patched.gamma + 1.0)
+            broken = copy.copy(patched.solver[0])
+            broken._opinion = broken._opinion + 1.0
+            return dataclasses.replace(
+                patched, solver=(broken, *patched.solver[1:])
+            )
 
         monkeypatch.setattr(ItemStore, "_patched_artifacts", corrupting)
         with caplog.at_level("ERROR", logger="repro.serve.store"):

@@ -41,10 +41,14 @@ def config():
 
 
 def _artifact_bytes(artifacts) -> bytes:
-    """A canonical byte serialisation of the numeric artifact content."""
-    parts = [artifacts.version.encode(), artifacts.gamma.tobytes()]
-    parts.extend(tau.tobytes() for tau in artifacts.taus)
-    parts.extend(np.ascontiguousarray(c).tobytes() for c in artifacts.columns)
+    """A canonical byte serialisation of what a solve reads: Gamma and
+    every tau_i from the space, and each item's incidence matrices."""
+    space, reviews = artifacts.space, artifacts.instance.reviews
+    parts = [artifacts.version.encode(), space.aspect_vector(reviews[0]).tobytes()]
+    parts.extend(space.opinion_vector(item).tobytes() for item in reviews)
+    for solver in artifacts.solver:
+        parts.append(np.ascontiguousarray(solver._opinion).tobytes())
+        parts.append(np.ascontiguousarray(solver._aspect).tobytes())
     return b"|".join(parts)
 
 

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import io
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.problem import SelectionConfig
+from repro.core.vectors import regression_columns
 from repro.data.io import save_corpus
 from repro.data.models import Review
 from repro.data.synthetic import generate_corpus
+from repro.resilience.atomicio import checksum
 from repro.serve.snapshot import (
     SnapshotCorruptError,
     SnapshotError,
@@ -19,6 +23,8 @@ from repro.serve.snapshot import (
 )
 from repro.serve.store import ItemStore
 from repro.serve.wal import review_record
+
+from tests.test_serve_incremental import _assert_artifacts_equal
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +67,7 @@ class TestSaveLoad:
         assert manifest["_restored_artifacts"] == 1
         after = restored.artifacts(target, config)
         assert after.instance == before.instance
-        assert np.array_equal(after.gamma, before.gamma)
-        for tau_a, tau_b in zip(after.taus, before.taus):
-            assert np.array_equal(tau_a, tau_b)
+        _assert_artifacts_equal(after, before)
 
     def test_restored_chain_epochs_match(self, corpus, tmp_path):
         store = ItemStore(corpus)
@@ -107,6 +111,83 @@ class TestSaveLoad:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(SnapshotCorruptError):
             manager.load_snapshot(info.path)
+
+
+def _save_format_1(store, root, *, wal_seq: int):
+    """Write a snapshot as format 1 did: ``gamma``, ``tau_i`` and
+    ``col_i`` beside the solver arrays, in the same manifest layout."""
+    loads, lineage, epochs = store.chain_state()
+    corpus = store.corpus
+    path = root / f"snap-{loads:08d}"
+    path.mkdir(parents=True)
+    blob = pickle.dumps(
+        (corpus.name, tuple(corpus.products), tuple(corpus.reviews)),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    (path / "corpus.pkl").write_bytes(blob)
+    files = {"corpus.pkl": checksum(blob)}
+    entries = []
+    for index, (key, artifacts) in enumerate(store.export_artifacts()):
+        space, reviews = artifacts.space, artifacts.instance.reviews
+        target, max_comparisons, min_reviews, scheme, lam = key
+        arrays = {"gamma": space.aspect_vector(reviews[0])}
+        for item, solver in enumerate(artifacts.solver):
+            arrays[f"tau_{item}"] = space.opinion_vector(reviews[item])
+            arrays[f"col_{item}"] = regression_columns(space, reviews[item], lam)
+            arrays[f"op_{item}"] = solver._opinion
+            arrays[f"asp_{item}"] = solver._aspect
+            arrays[f"gop_{item}"] = solver.base_block().gram_op
+            arrays[f"gasp_{item}"] = solver.base_block().gram_asp
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        name = f"artifact-{index:03d}.npz"
+        (path / name).write_bytes(buffer.getvalue())
+        files[name] = checksum(buffer.getvalue())
+        entries.append({
+            "file": name, "target": target, "max_comparisons": max_comparisons,
+            "min_reviews": min_reviews, "scheme": scheme, "lam": lam,
+            "items": len(reviews),
+        })
+    manifest = {
+        "format": 1, "version": store.version, "loads": loads,
+        "lineage": lineage, "epochs": epochs, "wal_seq": wal_seq,
+        "checksums": files, "artifacts": entries,
+        "products": len(corpus.products), "reviews": len(corpus.reviews),
+    }
+    (path / "MANIFEST.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+class TestFormat1Snapshot:
+    def test_restores_live_state_and_replays_its_tail(
+        self, corpus, corpus_path, tmp_path
+    ):
+        state = tmp_path / "state"
+        store, wal, _, _ = open_durable_store(state, corpus_path=corpus_path)
+        config = SelectionConfig(max_reviews=3, lam=1.0, mu=0.1)
+        target = store.default_target(10, 3)
+        store.artifacts(target, config)
+        for n in range(1, 4):
+            review = _delta_review(n, target)
+            wal.append({"kind": "delta", "reviews": [review_record(review)]})
+            store.apply_delta([review])
+            if n == 1:
+                _save_format_1(store, state / "snapshots", wal_seq=1)
+                wal.compact(1)
+        live = store.artifacts(target, config)
+        wal.close()
+
+        recovered, wal2, _, info = open_durable_store(
+            state, corpus_path=corpus_path
+        )
+        assert info.mode == "snapshot+wal"
+        assert info.restored_artifacts == 1
+        assert info.replayed_deltas == 2
+        assert recovered.version == store.version
+        assert recovered.chain_state() == store.chain_state()
+        after = recovered.artifacts(target, config)
+        assert after.chain == live.chain
+        _assert_artifacts_equal(after, live)
+        wal2.close()
 
 
 class TestOpenDurableStore:

@@ -48,7 +48,15 @@ class TestVersioning:
         assert after.version != before.version
         # Same corpus content -> identical artifacts, fresh objects.
         assert after.instance == before.instance
-        assert np.array_equal(after.gamma, before.gamma)
+        assert after.space is not before.space
+        assert np.array_equal(
+            after.space.aspect_vector(after.instance.reviews[0]),
+            before.space.aspect_vector(before.instance.reviews[0]),
+        )
+        for ours, theirs in zip(after.solver, before.solver, strict=True):
+            assert ours is not theirs
+            assert np.array_equal(ours._opinion, theirs._opinion)
+            assert np.array_equal(ours._aspect, theirs._aspect)
 
     def test_distinct_corpora_fingerprint_differently(self, corpus):
         other = generate_corpus("Toy", scale=0.3, seed=4)
@@ -92,12 +100,15 @@ class TestArtifacts:
         space = build_space(instance, config)
         gamma = space.aspect_vector(instance.reviews[0])
         assert artifacts.instance == instance
-        assert np.array_equal(artifacts.gamma, gamma)
+        served = artifacts.space
+        assert np.array_equal(served.aspect_vector(instance.reviews[0]), gamma)
         for item_index, reviews in enumerate(instance.reviews):
             tau = space.opinion_vector(reviews)
-            assert np.array_equal(artifacts.taus[item_index], tau)
+            assert np.array_equal(served.opinion_vector(reviews), tau)
+            solver = artifacts.solver[item_index]
+            stacked = np.vstack([solver._opinion, config.lam * solver._aspect])
             columns = regression_columns(space, reviews, config.lam)
-            assert np.array_equal(artifacts.columns[item_index], columns)
+            assert np.array_equal(stacked, columns)
 
     def test_comparative_ids(self, store, config):
         target = store.default_target(10, 3)

@@ -147,6 +147,22 @@ class TestCompaction:
         assert wal.last_seq == 3
         assert wal.append(_delta(4)) == 4
 
+    def test_reopened_empty_log_counts_on_from_raised_floor(self, tmp_path):
+        """The floor is not persisted: a log emptied by compaction reopens
+        at 0 until recovery raises it to the snapshot's watermark."""
+        path = tmp_path / "ingest.wal"
+        wal = WriteAheadLog(path)
+        for n in range(1, 4):
+            wal.append(_delta(n))
+        wal.compact(upto_seq=3)
+        wal.close()
+        reopened = WriteAheadLog(path)
+        assert len(reopened) == 0 and reopened.last_seq == 0
+        reopened.raise_floor(3)
+        assert reopened.last_seq == 3
+        assert reopened.append(_delta(4)) == 4
+        assert [seq for seq, _ in WriteAheadLog(path).replay()] == [4]
+
     def test_compact_noop_when_nothing_covered(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "ingest.wal")
         wal.append(_delta(1))
